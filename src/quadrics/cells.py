@@ -121,12 +121,11 @@ def cell_dim_in_subvariety(k: SimpleSubset, w: Permutation, i_set: SimpleSubset)
 
 
 def _census_polynomial(n: int, k_members: tuple[int, ...], target_mask: int) -> QPolynomial:
-    """Sum of q^(length + |K| + popcount(r_mask & target_mask)) over the
-    census of W^K."""
-    offset = len(k_members)
-    coeffs = [0] * (n * (n - 1) // 2 + offset + target_mask.bit_count() + 1)
-    for (length, r_mask), count in cell_census(n, k_members).items():
-        coeffs[length + offset + (r_mask & target_mask).bit_count()] += count
+    """Sum of q^(ell(w) + |K| + |R_K(w) intersect target|) over W^K."""
+    census = cell_census(n, k_members, target_mask)
+    coeffs = [0] * (len(k_members) + max(census) + 1)
+    for exponent, count in census.items():
+        coeffs[len(k_members) + exponent] = count
     return QPolynomial(coeffs)
 
 

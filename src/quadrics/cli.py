@@ -11,7 +11,8 @@ Subcommands:
                   one block size
 
 Exit codes: 0 success, 1 a requested check or verdict failed, 2 invalid
-input, 3 the S_n-enumeration cap was exceeded (raise it with --max-n).
+input (including a bad $QUADRICS_FORMAT or an unwritable --out), 3 the
+S_n-enumeration cap was exceeded (raise it with --max-n).
 Output is deterministic: the same invocation produces the same bytes
 regardless of --jobs.
 """
@@ -78,6 +79,7 @@ ALL_CHECKS = (
 ENUMERATING_CHECKS = {"km", "descent", "closed-form", "duality", "euler"}
 
 FORMAT_ENV_VAR = "QUADRICS_FORMAT"
+FORMATS = ("text", "json", "csv")
 
 
 class CapExceededError(Exception):
@@ -106,9 +108,13 @@ def _resolve_format(args: argparse.Namespace) -> str:
     if args.format:
         return args.format
     env = os.environ.get(FORMAT_ENV_VAR, "").strip().lower()
-    if env in ("text", "json", "csv"):
-        return env
-    return "text"
+    if not env:
+        return "text"
+    if env not in FORMATS:
+        raise ValueError(
+            f"invalid {FORMAT_ENV_VAR} value {env!r}; choose from {', '.join(FORMATS)}"
+        )
+    return env
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -121,11 +127,17 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _worker_count(jobs: int, tasks: int) -> int:
+    """Pool size for --jobs: never more workers than tasks or CPUs."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
 def _pmap(fn, items, jobs: int) -> list:
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
+    workers = _worker_count(jobs, len(items))
+    if workers == 1:
         return [fn(item) for item in items]
-    with multiprocessing.Pool(jobs) as pool:
+    with multiprocessing.Pool(workers) as pool:
         return pool.map(fn, items)
 
 
@@ -179,8 +191,7 @@ def cmd_poincare(args: argparse.Namespace) -> int:
     shown = cells_poly if cells_poly is not None else product
     assert shown is not None
 
-    fmt = _resolve_format(args)
-    if fmt == "json":
+    if args.format == "json":
         doc = {
             "n": n,
             "subset": list(subset.members) if subset is not None else None,
@@ -191,7 +202,7 @@ def cmd_poincare(args: argparse.Namespace) -> int:
             "verdict": verdict,
         }
         _emit(args, json.dumps(doc, indent=2))
-    elif fmt == "csv":
+    elif args.format == "csv":
         subset_field = ";".join(str(i) for i in subset.members) if subset is not None else "full"
         lines = [
             "n,subset,method,degree,euler,verdict,coeffs",
@@ -318,8 +329,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     passed = sum(1 for ok in results if ok)
     failed = len(results) - passed
 
-    fmt = _resolve_format(args)
-    if fmt == "json":
+    if args.format == "json":
         doc = {
             "n": n,
             "checks": checks,
@@ -332,7 +342,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "verdict": "ok" if failed == 0 else "fail",
         }
         _emit(args, json.dumps(doc, indent=2))
-    elif fmt == "csv":
+    elif args.format == "csv":
         lines = ["check,label,ok"]
         for item, ok in zip(items, results):
             lines.append(f"{item[0]},{item[3]},{'pass' if ok else 'FAIL'}")
@@ -358,8 +368,7 @@ def cmd_cells(args: argparse.Namespace) -> int:
     else:
         records = fixed_points_full_variety(n)
 
-    fmt = _resolve_format(args)
-    if fmt == "json":
+    if args.format == "json":
         doc = {
             "n": n,
             "subset": list(subset.members) if subset is not None else None,
@@ -375,7 +384,7 @@ def cmd_cells(args: argparse.Namespace) -> int:
             ],
         }
         _emit(args, json.dumps(doc, indent=2))
-    elif fmt == "csv":
+    elif args.format == "csv":
         lines = ["K,w,R,dim_X,dim_XI"]
         for rec in records:
             k_field = ";".join(str(i) for i in rec.k.members)
@@ -405,13 +414,12 @@ def cmd_cells(args: argparse.Namespace) -> int:
 def cmd_special(args: argparse.Namespace) -> int:
     n = args.n
     subsets = enumerate_special(n)
-    fmt = _resolve_format(args)
-    if fmt == "json":
+    if args.format == "json":
         doc: dict[str, object] = {"n": n, "count": len(subsets)}
         if not args.count:
             doc["subsets"] = [list(s.members) for s in subsets]
         _emit(args, json.dumps(doc, indent=2))
-    elif fmt == "csv":
+    elif args.format == "csv":
         if args.count:
             _emit(args, "count\n" + str(len(subsets)))
         else:
@@ -432,8 +440,7 @@ def cmd_fixed_quadrics(args: argparse.Namespace) -> int:
     if m < 1:
         raise ValueError("block size must be at least 1")
     space = fixed_quadric_space(m)
-    fmt = _resolve_format(args)
-    if fmt == "json":
+    if args.format == "json":
         doc = {
             "block": m,
             "dimension": space.dimension,
@@ -443,7 +450,7 @@ def cmd_fixed_quadrics(args: argparse.Namespace) -> int:
             ],
         }
         _emit(args, json.dumps(doc, indent=2))
-    elif fmt == "csv":
+    elif args.format == "csv":
         lines = [
             "block,dimension,nondegenerate",
             f"{m},{space.dimension},{'yes' if space.has_nondegenerate else 'no'}",
@@ -472,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
-        choices=("text", "json", "csv"),
+        choices=FORMATS,
         default=None,
         help=f"output format (default: ${FORMAT_ENV_VAR} or text)",
     )
@@ -528,6 +535,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.format = _resolve_format(args)
         return args.func(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -538,6 +546,7 @@ def main(argv=None) -> int:
         NotMinimalRepError,
         InexactDivisionError,
         ValueError,
+        OSError,  # e.g. an unwritable --out: bad input, not a failed check
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

