@@ -14,14 +14,20 @@ indexed by a special I containing K removes |I^c intersect R_K(w)|
 directions. Summing q^dim over the cells gives the Poincare polynomial;
 comparing that sum with the closed product form is the generalized
 Kostant-Macdonald identity this package verifies.
+
+`r_set` is that weight-vector definition of R_K(w); the descent check
+and the tests evaluate R through it. The cell sums and the fixed-point
+listings use the equivalent local comparison of `quadrics.kernel`
+instead, with `r_set` as its test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
-from quadrics.kernel import cell_census
+from quadrics.kernel import cell_census, r_members
 from quadrics.parabolic import (
     NotSpecialError,
     SimpleSubset,
@@ -77,16 +83,31 @@ def pairing_vector(k: SimpleSubset, i: int) -> WeightVector:
     return alpha + w0.act(alpha)
 
 
+@lru_cache(maxsize=None)
+def _pairing_supports(k: SimpleSubset) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """(i, nonzero (j - 1, c_j) of pairing_vector(k, i)) for each i outside
+    K, with j - 1 the 0-based position of the coefficient."""
+    return tuple(
+        (i, tuple((j, c) for j, c in enumerate(pairing_vector(k, i).coeffs) if c))
+        for i in k.complement()
+    )
+
+
 def r_set(k: SimpleSubset, w: Permutation) -> tuple[int, ...]:
     """R_K(w): the i outside K where w(alpha_i + w_{0,K}(alpha_i)) < 0.
 
     These are the extra attracting directions of the cell at (K, w) beyond
-    the ell(w) + |K| forced ones.
+    the ell(w) + |K| forced ones. w sends the coefficient c_j to position
+    w(j), so the sign after w acts is the sign of the c_j with the
+    smallest image w(j).
     """
     _require_special(k)
     _require_rep(k, w)
+    images = w.images
     return tuple(
-        i for i in k.complement() if w.act(pairing_vector(k, i)).sign() < 0
+        i
+        for i, support in _pairing_supports(k)
+        if min(support, key=lambda jc: images[jc[0]])[1] < 0
     )
 
 
@@ -204,19 +225,27 @@ def per_orbit_closed_form_check(k: SimpleSubset, i_set: SimpleSubset) -> bool:
 def descent_characterization_check(k: SimpleSubset, i_set: SimpleSubset) -> bool:
     """s_{K,I}(w) = |{i in I - K : ell(w s_i) < ell(w)}| for every w in W^K.
 
-    The left side goes through the R-set machinery, the right side through
-    plain descent counting; agreeing on all of W^K ties the sign convention
-    to descents.
+    The left side goes through the weight-vector definition r_set, the
+    right side through plain descent counting; agreeing on all of W^K ties
+    the sign convention to descents. Both sides are read from the distinct
+    (R_K(w), descents of w) pairs over W^K, computed once per K.
     """
     _require_special(i_set)
     if not k.issubset(i_set):
         raise SubsetViolationError(f"{k} is not contained in {i_set}")
     rest = set(i_set.difference(k))
-    for w in minimal_coset_reps(k):
-        by_descents = sum(1 for i in w.right_descents if i in rest)
-        if s_value(k, i_set, w) != by_descents:
-            return False
-    return True
+    return all(
+        sum(1 for i in r if i in rest) == sum(1 for i in descents if i in rest)
+        for r, descents in _r_and_descents(k)
+    )
+
+
+@lru_cache(maxsize=None)
+def _r_and_descents(k: SimpleSubset) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The distinct pairs (r_set(k, w), w.right_descents) over w in W^K."""
+    return tuple(
+        dict.fromkeys((r_set(k, w), w.right_descents) for w in minimal_coset_reps(k))
+    )
 
 
 def fixed_points(i_set: SimpleSubset) -> list[CellRecord]:
@@ -229,7 +258,7 @@ def fixed_points(i_set: SimpleSubset) -> list[CellRecord]:
     for k in i_set.subsets():
         base = len(k)
         for w in minimal_coset_reps(k):
-            r = r_set(k, w)
+            r = r_members(k.members, w.images)
             dim_x = w.length + base + len(r)
             dim_xi = dim_x - sum(1 for i in r if i in outside)
             records.append(CellRecord(k, w, r, dim_x, dim_xi))
@@ -246,7 +275,7 @@ def fixed_points_full_variety(n: int) -> list[CellRecord]:
     for k in enumerate_special(n):
         base = len(k)
         for w in minimal_coset_reps(k):
-            r = r_set(k, w)
+            r = r_members(k.members, w.images)
             records.append(CellRecord(k, w, r, w.length + base + len(r)))
     return records
 

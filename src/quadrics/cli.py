@@ -51,6 +51,7 @@ from quadrics.parabolic import (
     SimpleSubset,
     enumerate_special,
     minimal_coset_rep_count,
+    special_count,
 )
 from quadrics.qpoly import (
     InexactDivisionError,
@@ -413,23 +414,28 @@ def cmd_cells(args: argparse.Namespace) -> int:
 
 def cmd_special(args: argparse.Namespace) -> int:
     n = args.n
+    if args.count:
+        count = special_count(n)
+        if args.format == "json":
+            _emit(args, json.dumps({"n": n, "count": count}, indent=2))
+        elif args.format == "csv":
+            _emit(args, f"count\n{count}")
+        else:
+            _emit(args, str(count))
+        return EXIT_OK
     subsets = enumerate_special(n)
     if args.format == "json":
-        doc: dict[str, object] = {"n": n, "count": len(subsets)}
-        if not args.count:
-            doc["subsets"] = [list(s.members) for s in subsets]
+        doc = {
+            "n": n,
+            "count": len(subsets),
+            "subsets": [list(s.members) for s in subsets],
+        }
         _emit(args, json.dumps(doc, indent=2))
     elif args.format == "csv":
-        if args.count:
-            _emit(args, "count\n" + str(len(subsets)))
-        else:
-            lines = ["I"] + [";".join(str(i) for i in s.members) for s in subsets]
-            _emit(args, "\n".join(lines))
+        lines = ["I"] + [";".join(str(i) for i in s.members) for s in subsets]
+        _emit(args, "\n".join(lines))
     else:
-        if args.count:
-            _emit(args, str(len(subsets)))
-        else:
-            _emit(args, "\n".join(str(s) for s in subsets))
+        _emit(args, "\n".join(str(s) for s in subsets))
     return EXIT_OK
 
 

@@ -8,13 +8,15 @@ leading sign after w acts is negative exactly when
     w(i+1) < w(i-1)  if i-1 is in K,
     w(i+1) < w(i)    otherwise.
 
-So w is built from left to right by relative rank, as in the inversion
-table behind sum_w q^ell(w) = [n]_q!: the entry at position p, placed
-with rank r among the first p entries, adds p-1-r inversions. Each step
-compares the new entry with one reference entry (w(p-1) when p-1 is in K,
-where the new entry must lie above it; otherwise the reference of the
-R-test at i = p-1), so the only state is the reference's rank. A census
-takes O(n^5) integer additions instead of a scan of all n! permutations.
+`r_members` applies this rule to one w, for the fixed-point listings.
+For the census, w is built from left to right by relative rank, as in
+the inversion table behind sum_w q^ell(w) = [n]_q!: the entry at
+position p, placed with rank r among the first p entries, adds p-1-r
+inversions. Each step compares the new entry with one reference entry
+(w(p-1) when p-1 is in K, where the new entry must lie above it;
+otherwise the reference of the R-test at i = p-1), so the only state is
+the reference's rank. A census takes O(n^5) integer additions instead of
+a scan of all n! permutations.
 """
 
 from __future__ import annotations
@@ -39,6 +41,26 @@ def _validate(n: int, k_members: tuple[int, ...], target_mask: int) -> None:
         prev = i
     if not isinstance(target_mask, int) or not 0 <= target_mask < 1 << (n - 1):
         raise ValueError(f"target mask {target_mask!r} out of range for rank {n}")
+
+
+@lru_cache(maxsize=None)
+def _r_references(n: int, k_members: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(i, p) for each i outside K, where w(i+1) is compared with the
+    one-line entry images[p]: p = i-2 (w(i-1)) if i-1 is in K, else i-1
+    (w(i))."""
+    in_k = set(k_members)
+    return tuple(
+        (i, i - 2 if i - 1 in in_k else i - 1) for i in range(1, n) if i not in in_k
+    )
+
+
+def r_members(k_members: tuple[int, ...], images: tuple[int, ...]) -> tuple[int, ...]:
+    """R_K(w) by the local rule, for special K and w in W^K given by its
+    one-line images. Inputs are not validated; `cells.r_set` is the
+    weight-vector definition this rule is tested against."""
+    return tuple(
+        i for i, p in _r_references(len(images), k_members) if images[i] < images[p]
+    )
 
 
 @lru_cache(maxsize=None)

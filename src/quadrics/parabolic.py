@@ -131,6 +131,20 @@ def enumerate_special(n: int) -> list[SimpleSubset]:
     return [SimpleSubset(n, members) for members in _special_members(1, n)]
 
 
+def special_count(n: int) -> int:
+    """len(enumerate_special(n)) by the recurrence, without listing.
+
+    >>> special_count(4)
+    5
+    """
+    if n < 1:
+        raise ValueError("rank must be at least 1")
+    count, following = 1, 2  # c(m), c(m+1) at m = 0
+    for _ in range(n - 1):
+        count, following = following, count + following
+    return count
+
+
 def longest_element(k: SimpleSubset) -> Permutation:
     """w_{0,K}: the product of the disjoint adjacent transpositions (i, i+1)
     over i in K. Defined only for special K, where the factors commute."""
@@ -195,6 +209,7 @@ __all__ = [
     "NotSpecialError",
     "SimpleSubset",
     "enumerate_special",
+    "special_count",
     "longest_element",
     "is_minimal_rep",
     "minimal_coset_reps",

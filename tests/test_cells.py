@@ -2,7 +2,9 @@ from collections import defaultdict
 
 import pytest
 
+import quadrics.cells as cells
 from quadrics.cells import (
+    CellRecord,
     NotMinimalRepError,
     SubsetViolationError,
     betti,
@@ -218,6 +220,67 @@ def test_descent_characterization_check():
     # K = I is vacuous: both sides are zero
     i_set = SimpleSubset(5, (2, 4))
     assert descent_characterization_check(i_set, i_set)
+
+
+@pytest.fixture
+def fresh_r_memos():
+    """Empty the per-K caches behind r_set and the descent check before and
+    after the test, so a patched definition neither sees nor leaves stale
+    entries."""
+    cells._pairing_supports.cache_clear()
+    cells._r_and_descents.cache_clear()
+    yield
+    cells._pairing_supports.cache_clear()
+    cells._r_and_descents.cache_clear()
+
+
+def test_descent_check_goes_through_weight_vector_definition(monkeypatch, fresh_r_memos):
+    definition = cells.pairing_vector
+    monkeypatch.setattr(cells, "pairing_vector", lambda k, i: -definition(k, i))
+    verdicts = [
+        descent_characterization_check(k, i_set)
+        for i_set in enumerate_special(4)
+        for k in i_set.subsets()
+    ]
+    assert not all(verdicts)
+
+
+def test_descent_check_fails_on_any_single_wrong_r_set(monkeypatch, fresh_r_memos):
+    definition = cells.r_set
+    k, i_set = SimpleSubset(4, ()), SimpleSubset(4, (1, 3))
+    for bad in minimal_coset_reps(k):
+        for flip in i_set:
+
+            def broken(k_, w, bad=bad, flip=flip):
+                r = set(definition(k_, w))
+                return tuple(sorted(r ^ {flip} if w == bad else r))
+
+            monkeypatch.setattr(cells, "r_set", broken)
+            cells._r_and_descents.cache_clear()
+            assert not descent_characterization_check(k, i_set), (bad, flip)
+
+
+def test_listings_match_r_set_records():
+    for n in range(1, 7):
+        for i_set in enumerate_special(n):
+            expected = [
+                CellRecord(
+                    k,
+                    w,
+                    r_set(k, w),
+                    plus_cell_dim(k, w),
+                    cell_dim_in_subvariety(k, w, i_set),
+                )
+                for k in i_set.subsets()
+                for w in minimal_coset_reps(k)
+            ]
+            assert fixed_points(i_set) == expected, (n, i_set)
+        expected = [
+            CellRecord(k, w, r_set(k, w), plus_cell_dim(k, w))
+            for k in enumerate_special(n)
+            for w in minimal_coset_reps(k)
+        ]
+        assert fixed_points_full_variety(n) == expected, n
 
 
 def test_fixed_points_listing():

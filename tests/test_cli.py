@@ -140,9 +140,22 @@ def test_special_listing_and_count(capsys):
     code, out = run_main(capsys, "special", "--n", "8", "--count")
     assert code == 0
     assert out.strip() == "34"
+    code, out = run_main(capsys, "special", "--n", "8", "--count", "--format", "csv")
+    assert code == 0
+    assert out == "count\n34\n"
+    code, out = run_main(capsys, "special", "--n", "8", "--count", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"n": 8, "count": 34}
     code, out = run_main(capsys, "special", "--n", "4")
     assert code == 0
     assert out.strip().splitlines() == ["{}", "{1}", "{1,3}", "{2}", "{3}"]
+
+
+def test_special_count_does_not_list(capsys):
+    # Fibonacci-many subsets: listing them at n = 200 would never finish
+    code, out = run_main(capsys, "special", "--n", "200", "--count")
+    assert code == 0
+    assert out == "453973694165307953197296969697410619233826\n"  # F(201)
 
 
 def test_fixed_quadrics_block_two(capsys):
@@ -224,6 +237,14 @@ def test_output_is_deterministic_across_jobs():
     fanned = run_cli(
         "verify", "--n", "5", "--checks", "km,descent,duality", "--jobs", "8"
     )
+    assert base[0] == fanned[0] == 0
+    assert base[1] == fanned[1]
+
+
+def test_descent_check_deterministic_across_jobs():
+    # each pool worker fills its own per-K memo
+    base = run_cli("verify", "--n", "6", "--checks", "descent", "--jobs", "1")
+    fanned = run_cli("verify", "--n", "6", "--checks", "descent", "--jobs", "2")
     assert base[0] == fanned[0] == 0
     assert base[1] == fanned[1]
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from quadrics.cells import poincare_full_variety, poincare_sum, r_set
-from quadrics.kernel import BACKEND, cell_census
+from quadrics.kernel import BACKEND, cell_census, r_members
 from quadrics.parabolic import SimpleSubset, enumerate_special, minimal_coset_reps
 from quadrics.qpoly import is_palindromic, product_formula
 
@@ -50,6 +50,13 @@ def test_census_matches_elementwise_oracle():
                     k,
                     target,
                 )
+
+
+def test_local_rule_matches_weight_vector_definition():
+    for n in range(1, 8):
+        for k in enumerate_special(n):
+            for w in minimal_coset_reps(k):
+                assert r_members(k.members, w.images) == r_set(k, w), (n, k, w)
 
 
 def test_km_identity_up_to_n10():

@@ -12,6 +12,7 @@ from quadrics.parabolic import (
     minimal_coset_rep_count,
     minimal_coset_reps,
     parabolic_subgroup,
+    special_count,
 )
 from quadrics.symmetric_group import Permutation, enumerate_permutations, identity
 
@@ -66,11 +67,14 @@ def test_special_counts_follow_fibonacci():
     counts = {}
     for n in range(1, 21):
         counts[n - 1] = len(enumerate_special(n))
+        assert special_count(n) == counts[n - 1], n
     assert counts[0] == 1
     assert counts[1] == 2
     for m in range(2, 20):
         assert counts[m] == counts[m - 1] + counts[m - 2]
     assert counts[7] == 34
+    with pytest.raises(ValueError):
+        special_count(0)
 
 
 def test_subsets_of_special_are_special():
