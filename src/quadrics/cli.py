@@ -13,8 +13,8 @@ Subcommands:
 Exit codes: 0 success, 1 a requested check or verdict failed, 2 invalid
 input (including a bad $QUADRICS_FORMAT or an unwritable --out), 3 the
 S_n-enumeration cap was exceeded (raise it with --max-n).
-Output is deterministic: the same invocation produces the same bytes
-regardless of --jobs.
+Every command runs in one process. --jobs is accepted for compatibility
+and ignored, so the same invocation produces the same bytes for any value.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import multiprocessing
 import os
 import sys
 
@@ -128,18 +127,10 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _worker_count(jobs: int, tasks: int) -> int:
-    """Pool size for --jobs: never more workers than tasks or CPUs."""
-    return max(1, min(jobs, tasks, os.cpu_count() or 1))
-
-
+# The one map over a command's tasks; jobs is unused but stays positional
+# because the benchmark tracer wraps this function and reads it.
 def _pmap(fn, items, jobs: int) -> list:
-    items = list(items)
-    workers = _worker_count(jobs, len(items))
-    if workers == 1:
-        return [fn(item) for item in items]
-    with multiprocessing.Pool(workers) as pool:
-        return pool.map(fn, items)
+    return [fn(item) for item in items]
 
 
 def _subset_str(members) -> str:
@@ -148,23 +139,12 @@ def _subset_str(members) -> str:
 
 # --- poincare ----------------------------------------------------------------
 
-def _orbit_coeffs(task) -> list[int]:
-    n, k_members, i_members = task
-    k = SimpleSubset(n, k_members)
-    if i_members is None:
-        return list(full_variety_orbit_sum(k).coeffs)
-    return list(per_orbit_sum(k, SimpleSubset(n, i_members)).coeffs)
-
-
 def _cells_polynomial(n: int, subset, jobs: int) -> QPolynomial:
     if subset is None:
-        tasks = [(n, k.members, None) for k in enumerate_special(n)]
+        layers = _pmap(full_variety_orbit_sum, enumerate_special(n), jobs)
     else:
-        tasks = [(n, k.members, subset.members) for k in subset.subsets()]
-    total = QPolynomial()
-    for coeffs in _pmap(_orbit_coeffs, tasks, jobs):
-        total = total + QPolynomial(coeffs)
-    return total
+        layers = _pmap(lambda k: per_orbit_sum(k, subset), subset.subsets(), jobs)
+    return sum(layers, QPolynomial())
 
 
 def cmd_poincare(args: argparse.Namespace) -> int:
@@ -416,6 +396,10 @@ def cmd_special(args: argparse.Namespace) -> int:
     n = args.n
     if args.count:
         count = special_count(n)
+        # past n = 20,500 the count exceeds Python's default 4,300-digit
+        # limit on int-to-str conversion; print every digit
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(0)
         if args.format == "json":
             _emit(args, json.dumps({"n": n, "count": count}, indent=2))
         elif args.format == "csv":
@@ -490,7 +474,12 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"output format (default: ${FORMAT_ENV_VAR} or text)",
     )
     common.add_argument("--out", metavar="PATH", help="write the report to a file")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes")
+    common.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted and ignored: every command runs in one process",
+    )
     common.add_argument(
         "--max-n",
         type=int,

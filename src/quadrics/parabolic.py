@@ -164,14 +164,11 @@ def is_minimal_rep(k: SimpleSubset, w: Permutation) -> bool:
     return all(w.images[i - 1] < w.images[i] for i in k.members)
 
 
-@lru_cache(maxsize=None)
-def _minimal_coset_rep_images(n: int, members: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def _minimal_coset_rep_images(n: int, members: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     positions = tuple(i - 1 for i in members)
-    out = []
     for images in itertools.permutations(range(1, n + 1)):
         if all(images[p] < images[p + 1] for p in positions):
-            out.append(images)
-    return tuple(out)
+            yield images
 
 
 def minimal_coset_reps(k: SimpleSubset) -> list[Permutation]:
@@ -182,13 +179,14 @@ def minimal_coset_reps(k: SimpleSubset) -> list[Permutation]:
     return [Permutation(images) for images in _minimal_coset_rep_images(k.n, k.members)]
 
 
+@lru_cache(maxsize=None)
 def minimal_coset_rep_count(k: SimpleSubset) -> int:
     """|W^K|, counted from the filtered enumeration rather than the
     n!/2^|K| formula, so it stays an independent cross-check of the
-    latter."""
+    latter. Only the count is kept, one int per K."""
     if not k.is_special():
         raise NotSpecialError(f"{k} contains consecutive members")
-    return len(_minimal_coset_rep_images(k.n, k.members))
+    return sum(1 for _ in _minimal_coset_rep_images(k.n, k.members))
 
 
 def parabolic_subgroup(k: SimpleSubset) -> list[Permutation]:

@@ -3,8 +3,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from quadrics.cells import poincare_full_variety, poincare_sum
 from quadrics.cli import main
-from quadrics.parabolic import SimpleSubset
+from quadrics.parabolic import SimpleSubset, special_count
 from quadrics.qpoly import QPolynomial, product_formula
 
 
@@ -40,6 +43,17 @@ def test_poincare_full_variety(capsys):
     code, out = run_main(capsys, "poincare", "--n", "3", "--method", "cells")
     assert code == 0
     assert "cells: 1 + 2q + 3q^2 + 3q^3 + 2q^4 + q^5" in out
+
+
+def test_cells_method_at_n7(capsys):
+    code, out = run_main(capsys, "poincare", "--n", "7", "--method", "cells")
+    assert code == 0
+    assert f"cells: {poincare_full_variety(7)}\n" in out
+    code, out = run_main(
+        capsys, "poincare", "--n", "7", "--subset", "1,3,6", "--method", "cells"
+    )
+    assert code == 0
+    assert f"cells: {poincare_sum(SimpleSubset(7, (1, 3, 6)))}\n" in out
 
 
 def test_poincare_empty_subset_spelled_none(capsys):
@@ -158,6 +172,30 @@ def test_special_count_does_not_list(capsys):
     assert out == "453973694165307953197296969697410619233826\n"  # F(201)
 
 
+@pytest.fixture
+def int_digit_limit():
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    saved = get_limit() if get_limit else None
+    yield
+    if saved is not None:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_special_count_prints_every_digit(capsys, int_digit_limit):
+    # 4,389 digits: past the interpreter's default int-to-str limit of 4,300
+    expected = special_count(21000)
+    code, out = run_main(capsys, "special", "--n", "21000", "--count")
+    assert code == 0
+    assert len(out) == 4389 + 1
+    assert int(out) == expected
+    code, out = run_main(capsys, "special", "--n", "21000", "--count", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["count", str(expected)]
+    code, out = run_main(capsys, "special", "--n", "21000", "--count", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"n": 21000, "count": expected}
+
+
 def test_fixed_quadrics_block_two(capsys):
     code, out = run_main(capsys, "fixed-quadrics", "--block", "2")
     assert code == 0
@@ -215,23 +253,6 @@ def test_out_file(tmp_path, capsys):
     assert doc["count"] == 8
 
 
-def test_worker_count_is_clamped(monkeypatch):
-    import quadrics.cli as cli_mod
-
-    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 2)
-    assert cli_mod._worker_count(8, 100) == 2
-    assert cli_mod._worker_count(8, 1) == 1
-    assert cli_mod._worker_count(1, 100) == 1
-    assert cli_mod._worker_count(0, 100) == 1
-    assert cli_mod._worker_count(-3, 100) == 1
-    assert cli_mod._worker_count(4, 0) == 1
-    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 16)
-    assert cli_mod._worker_count(8, 100) == 8
-    assert cli_mod._worker_count(8, 3) == 3
-    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: None)
-    assert cli_mod._worker_count(8, 100) == 1
-
-
 def test_output_is_deterministic_across_jobs():
     base = run_cli("verify", "--n", "5", "--checks", "km,descent,duality")
     fanned = run_cli(
@@ -242,7 +263,6 @@ def test_output_is_deterministic_across_jobs():
 
 
 def test_descent_check_deterministic_across_jobs():
-    # each pool worker fills its own per-K memo
     base = run_cli("verify", "--n", "6", "--checks", "descent", "--jobs", "1")
     fanned = run_cli("verify", "--n", "6", "--checks", "descent", "--jobs", "2")
     assert base[0] == fanned[0] == 0
@@ -256,6 +276,24 @@ def test_poincare_deterministic_across_jobs():
     )
     assert base[0] == fanned[0] == 0
     assert base[1] == fanned[1]
+
+
+def test_no_command_starts_a_process(monkeypatch, capsys):
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a command started a process pool")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    for argv, jobs in (
+        (("verify", "--n", "5", "--checks", "km,descent,duality"), "8"),
+        (("poincare", "--n", "6"), "4"),
+        (("poincare", "--n", "6", "--subset", "1,3,5", "--method", "cells"), "4"),
+    ):
+        serial = run_main(capsys, *argv, "--jobs", "1")
+        fanned = run_main(capsys, *argv, "--jobs", jobs)
+        assert serial[0] == fanned[0] == 0
+        assert serial[1] == fanned[1]
 
 
 def test_verify_failure_exit_code_is_one(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -136,8 +137,30 @@ def test_minimal_coset_reps_cardinality():
         for k in enumerate_special(n):
             expected = math.factorial(n) // 2 ** len(k)
             assert minimal_coset_rep_count(k) == expected
-            if n <= 6:
-                assert len(minimal_coset_reps(k)) == expected
+            assert len(minimal_coset_reps(k)) == expected
+
+
+def test_minimal_coset_reps_in_lexicographic_order():
+    # the listing digests depend on this order
+    for n in range(1, 6):
+        for k in enumerate_special(n):
+            images = [w.images for w in minimal_coset_reps(k)]
+            assert images == sorted(
+                p for p in itertools.permutations(range(1, n + 1))
+                if is_minimal_rep(k, Permutation(p))
+            )
+
+
+def test_counting_coset_reps_stores_nothing():
+    minimal_coset_rep_count.cache_clear()
+    tracemalloc.start()
+    try:
+        count = minimal_coset_rep_count(SimpleSubset(8, ()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == math.factorial(8)
+    assert peak < 1_000_000
 
 
 def test_coset_factorization_is_unique_with_additive_length():
