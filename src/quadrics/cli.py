@@ -298,6 +298,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checks = list(ALL_CHECKS)
     else:
         checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+        if not checks:
+            raise ValueError(f"no checks given; choose from {', '.join(ALL_CHECKS)}")
         for c in checks:
             if c not in ALL_CHECKS:
                 raise ValueError(f"unknown check {c!r}; choose from {', '.join(ALL_CHECKS)}")

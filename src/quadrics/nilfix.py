@@ -6,7 +6,8 @@ superdiagonal. Differentiating the change-of-variables action
 g . A = (g^T)^(-1) A g^(-1) along exp(te) shows a symmetric matrix A is
 infinitesimally fixed exactly when e^T A + A e = 0; this module solves
 that linear system exactly, decides whether the solution family contains
-a nondegenerate quadric, and assembles a regularity classifier for the
+a nondegenerate quadric (by an exact anti-triangular certificate; the grid
+sweep is the test oracle), and assembles a regularity classifier for the
 boundary strata of the variety of complete quadrics: the stratum indexed
 by I is regular (one unipotent fixed point) exactly when I is special,
 and the classifier rediscovers that by linear algebra alone.
@@ -19,7 +20,6 @@ orientation and a sanity test.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -107,28 +107,6 @@ class RationalMatrix:
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and self.entries == self.transpose().entries
-
-    def det(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        a = [list(row) for row in self.entries]
-        n = self.rows
-        result = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                result = -result
-            result *= a[col][col]
-            inv = 1 / a[col][col]
-            for r in range(col + 1, n):
-                factor = a[r][col] * inv
-                if factor:
-                    for c in range(col, n):
-                        a[r][c] -= factor * a[col][c]
-        return result
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RationalMatrix) and self.entries == other.entries
@@ -242,7 +220,8 @@ class FixedQuadricSpace:
     """Solution space of e^T A + A e = 0 over symmetric m-by-m matrices.
 
     has_nondegenerate records whether the family contains a matrix with
-    non-zero determinant, decided exactly on a rational grid.
+    non-zero determinant, decided by an exact anti-triangular certificate;
+    the grid sweep is the test oracle.
     """
 
     block_size: int
@@ -288,6 +267,8 @@ def _vector_to_symmetric(m: int, vec: Sequence[Fraction]) -> RationalMatrix:
     return RationalMatrix(entries)
 
 
+# Kept here because the grid-sweep test oracle evaluates determinants with
+# it and the benchmark tracer patches this name to count them.
 def _int_det(a: list[list[int]]) -> int:
     """Fraction-free (Bareiss) determinant of a small integer matrix;
     mutates its argument."""
@@ -313,35 +294,22 @@ def _int_det(a: list[list[int]]) -> int:
 def fixed_quadric_space(m: int) -> FixedQuadricSpace:
     """Solve e^T A + A e = 0 over symmetric m-by-m matrices exactly.
 
-    Nondegeneracy of the family: det(sum t_i B_i) is a polynomial of degree
-    at most m in each t_i, so it vanishes identically on the span exactly
-    when it vanishes at every point of the grid {0, ..., m}^dim; the grid
-    is swept with early exit on the first non-zero determinant.
+    Nondegeneracy of the family is read off an exact anti-triangular
+    certificate; the grid sweep is the test oracle. Every solution
+    vanishes above the anti-diagonal (i + j < m - 1): the row-0 equations
+    A[0][j-1] = 0 zero A[0][0..m-2], and each equation
+    A[i-1][j] + A[i][j-1] = 0 carries that zero down its anti-diagonal.
+    This is checked on the basis. Then det(sum t_b B_b) is, up to sign,
+    the product of the m anti-diagonal linear forms, which is non-zero
+    exactly when no anti-diagonal entry vanishes on every basis matrix.
     """
     if m < 1:
         raise ValueError("size must be at least 1")
     vectors = nullspace_basis(fixed_system_rows(m), m * (m + 1) // 2)
     basis = tuple(_vector_to_symmetric(m, vec) for vec in vectors)
-
-    int_basis = []
-    for mat in basis:
-        scale = math.lcm(*(x.denominator for row in mat.entries for x in row))
-        int_basis.append(
-            [[int(x * scale) for x in row] for row in mat.entries]
-        )
-
-    has_nondeg = False
-    dim = len(int_basis)
-    for point in itertools.product(range(m + 1), repeat=dim):
-        if not any(point):
-            continue
-        candidate = [
-            [sum(t * b[i][j] for t, b in zip(point, int_basis)) for j in range(m)]
-            for i in range(m)
-        ]
-        if _int_det(candidate) != 0:
-            has_nondeg = True
-            break
+    if any(mat[i, j] for mat in basis for i in range(m) for j in range(m - 1 - i)):
+        raise RuntimeError(f"a fixed quadric of size {m} is non-zero above the anti-diagonal")
+    has_nondeg = all(any(mat[k, m - 1 - k] for mat in basis) for k in range(m))
     return FixedQuadricSpace(m, basis, has_nondeg)
 
 

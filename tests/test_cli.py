@@ -124,6 +124,16 @@ def test_verify_unknown_check():
     assert code == 2
 
 
+@pytest.mark.parametrize("spelling", [",", " "])
+def test_verify_empty_check_list_is_invalid_input(spelling, capsys):
+    code = main(["verify", "--n", "4", "--checks", spelling])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: no checks given; choose from km, ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_verify_all_checks_small(capsys):
     code, out = run_main(capsys, "verify", "--n", "3")
     assert code == 0
@@ -211,6 +221,15 @@ def test_fixed_quadrics_json(capsys):
     assert doc["dimension"] == 2
     assert doc["nondegenerate"] is True
     assert doc["basis"][0] == [["0", "0", "1"], ["0", "-1", "0"], ["1", "0", "0"]]
+
+
+def test_fixed_quadrics_blocks_past_the_old_grid_sweep(capsys):
+    code, out = run_main(capsys, "fixed-quadrics", "--block", "10")
+    assert code == 0
+    assert "dimension 5, nondegenerate member: no" in out
+    code, out = run_main(capsys, "fixed-quadrics", "--block", "11")
+    assert code == 0
+    assert "dimension 6, nondegenerate member: yes" in out
 
 
 def test_format_environment_variable():

@@ -1,7 +1,10 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
+from quadrics import nilfix
 from quadrics.nilfix import (
     FixedQuadricSpace,
     NotSymmetricError,
@@ -28,7 +31,7 @@ def test_rational_matrix_basics():
     assert a.transpose() == RationalMatrix([[1, 3], [2, 4]])
     assert (a - a).is_zero()
     assert a * RationalMatrix.identity(2) == a
-    assert a.det() == -2
+    assert nilfix._int_det([[1, 2], [3, 4]]) == -2
     assert RationalMatrix([[Fraction(1, 2)]]).scale(2) == RationalMatrix([[1]])
     assert not a.is_symmetric()
     assert RationalMatrix([[1, 5], [5, 2]]).is_symmetric()
@@ -83,7 +86,7 @@ def test_fixed_quadric_space_m3_is_the_two_parameter_family():
     f_part = RationalMatrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
     assert space.basis == (c_part, f_part)
     # det of the c-component alone is c^3, so nondegenerate members exist
-    assert c_part.det() == 1
+    assert nilfix._int_det([[int(x) for x in row] for row in c_part.entries]) == 1
     assert space.has_nondegenerate is True
 
 
@@ -114,8 +117,71 @@ def test_fixed_quadric_space_dimension_against_reversed_elimination():
 
 def test_nondegenerate_exists_only_in_odd_blocks():
     # even-size blocks never carry a fixed nondegenerate quadric; odd ones do
-    for m in range(1, 9):
+    for m in range(1, 17):
         assert fixed_quadric_space(m).has_nondegenerate == (m % 2 == 1)
+
+
+def grid_has_nondegenerate(space: FixedQuadricSpace) -> bool:
+    """Brute-force oracle for has_nondegenerate. det(sum t_b B_b) is a
+    polynomial of degree at most m in each t_b, so it vanishes identically
+    on the span exactly when it vanishes at every point of the grid
+    {0, ..., m}^dim; the grid is swept with early exit on the first
+    non-zero determinant."""
+    m = space.block_size
+    int_basis = []
+    for mat in space.basis:
+        scale = math.lcm(*(x.denominator for row in mat.entries for x in row))
+        int_basis.append([[int(x * scale) for x in row] for row in mat.entries])
+    for point in itertools.product(range(m + 1), repeat=len(int_basis)):
+        if not any(point):
+            continue
+        candidate = [
+            [sum(t * b[i][j] for t, b in zip(point, int_basis)) for j in range(m)]
+            for i in range(m)
+        ]
+        if nilfix._int_det(candidate) != 0:
+            return True
+    return False
+
+
+@pytest.fixture
+def fresh_fixed_quadric_cache():
+    fixed_quadric_space.cache_clear()
+    yield
+    fixed_quadric_space.cache_clear()
+
+
+def test_certificate_matches_grid_oracle():
+    for m in range(1, 9):
+        space = fixed_quadric_space(m)
+        assert space.has_nondegenerate == grid_has_nondegenerate(space)
+
+
+def test_fixed_quadric_space_computes_no_determinant(monkeypatch, fresh_fixed_quadric_cache):
+    def refuse(a):
+        raise AssertionError("fixed_quadric_space evaluated a determinant")
+
+    monkeypatch.setattr(nilfix, "_int_det", refuse)
+    for m in range(1, 10):
+        assert fixed_quadric_space(m).has_nondegenerate == (m % 2 == 1)
+
+
+def test_certificate_rejects_entry_above_anti_diagonal(monkeypatch, fresh_fixed_quadric_cache):
+    # a one-vector "basis" with a single non-zero upper-triangle coordinate
+    # (i, j) must trip the guard exactly when i + j < m - 1; otherwise it
+    # leaves some anti-diagonal entry zero, so it is degenerate
+    for m in (3, 4):
+        for t, (i, j) in enumerate(nilfix._sym_pairs(m)):
+            unit = tuple(Fraction(int(s == t)) for s in range(m * (m + 1) // 2))
+            monkeypatch.setattr(nilfix, "nullspace_basis", lambda rows, ncols: [unit])
+            fixed_quadric_space.cache_clear()
+            if i + j < m - 1:
+                with pytest.raises(RuntimeError):
+                    fixed_quadric_space(m)
+            else:
+                space = fixed_quadric_space(m)
+                assert space.dimension == 1
+                assert space.has_nondegenerate is grid_has_nondegenerate(space) is False
 
 
 def test_nullspace_basis_small_system():
