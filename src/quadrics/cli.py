@@ -305,6 +305,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 raise ValueError(f"unknown check {c!r}; choose from {', '.join(ALL_CHECKS)}")
     if any(c in ENUMERATING_CHECKS for c in checks):
         _check_cap(n, args.max_n)
+    if n < 1:
+        raise ValueError("rank must be at least 1")
     subset = _parse_subset(args.subset, n) if args.subset is not None else None
 
     items = _verify_items(n, checks, subset)

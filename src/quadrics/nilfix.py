@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from quadrics.parabolic import NotSpecialError, SimpleSubset
 
@@ -446,6 +446,59 @@ class RegularityResult:
     witness: Optional[RegularityWitness] = None
 
 
+def _first_witness_members(
+    n: int, members: tuple[int, ...], block_ok: Callable[[int], bool]
+) -> Optional[tuple[int, ...]]:
+    """The lexicographically first non-empty K inside members (sorted)
+    whose fixed flag of type K^c has only blocks of sizes m with
+    block_ok(m), or None when no such K exists.
+
+    A run of r consecutive members of K makes one block of size r + 1; the
+    other n - |K| - runs blocks have size 1. A depth-first search walks
+    the members in order with the choices stop (K is what was taken),
+    take the next member, skip it, which visits the K in lexicographic
+    order. Its state is (next member, open run length, |K|, closed runs);
+    a state whose whole subtree fails is remembered in a set local to the
+    call, so each state is expanded at most once. The stack is explicit,
+    so the depth does not grow with the number of members.
+    """
+    end = len(members)
+    dead: set[tuple[int, int, int, int]] = set()
+    chosen: list[int] = []
+    # frames [state, next choice: 0 stop, 1 take, 2 skip, 3 done, taken?].
+    # Only a take child tries stop, so its run is open: the root's K is
+    # empty, and a skip child's stop is the K its parent tried.
+    stack = [[(0, 0, 0, 0), 1, False]]
+    while stack:
+        frame = stack[-1]
+        state, choice, taken = frame
+        at, run, size, runs = state
+        frame[1] += 1
+        if choice == 0:
+            if block_ok(run + 1) and (size + runs + 1 == n or block_ok(1)):
+                return tuple(chosen)
+            continue
+        if choice == 3 or at == end:
+            dead.add(state)
+            stack.pop()
+            if taken:
+                chosen.pop()
+            continue
+        extends = run > 0 and members[at] == members[at - 1] + 1
+        if run and not (choice == 1 and extends) and not block_ok(run + 1):
+            continue
+        closed = runs + (run > 0)
+        if choice == 1:
+            child = (at + 1, run + 1, size + 1, runs) if extends else (at + 1, 1, size + 1, closed)
+        else:
+            child = (at + 1, 0, size, closed)
+        if child not in dead:
+            stack.append([child, 0 if choice == 1 else 1, choice == 1])
+            if choice == 1:
+                chosen.append(members[at])
+    return None
+
+
 def regularity_classifier(i_set: SimpleSubset) -> RegularityResult:
     """Decide by exact linear algebra whether the stratum indexed by I has
     a single unipotent fixed point.
@@ -456,34 +509,39 @@ def regularity_classifier(i_set: SimpleSubset) -> RegularityResult:
     the K-orbit contributes exactly when every block size m has
     fixed_quadric_space(m).has_nondegenerate. K = empty contributes the
     single base point (all blocks of size 1); any other contributing K is a
-    witness against regularity. I is deliberately not assumed special:
-    agreement of this classifier with the no-consecutive-members test is a
-    theorem, re-proved here computationally.
+    witness against regularity, and the witness reported is the first in
+    the order of I.subsets(), found by a search over the members of I
+    rather than by listing its subsets. I is deliberately not assumed
+    special: agreement of this classifier with the no-consecutive-members
+    test is a theorem, re-proved here computationally.
     """
     n = i_set.n
-    for k in i_set.subsets():
-        if not k.members:
-            continue
-        sizes = block_sizes(n, k.members)
-        if all(fixed_quadric_space(m).has_nondegenerate for m in sizes):
-            start = 1
-            chosen: Optional[tuple[int, int]] = None
-            for m in sizes:
-                if fixed_quadric_space(m).dimension >= 2:
-                    chosen = (start, m)
-                    break
-                start += m
-            if chosen is None:
-                start = 1
-                for m in sizes:
-                    if m >= 2:
-                        chosen = (start, m)
-                        break
-                    start += m
-            assert chosen is not None
-            block_start, block_size = chosen
-            return RegularityResult(
-                False,
-                RegularityWitness(k, block_start, block_size, fixed_quadric_space(block_size)),
-            )
-    return RegularityResult(True, None)
+
+    def block_ok(m: int) -> bool:
+        return fixed_quadric_space(m).has_nondegenerate
+
+    found = _first_witness_members(n, i_set.members, block_ok)
+    if found is None:
+        return RegularityResult(True, None)
+    k = SimpleSubset(n, found)
+    sizes = block_sizes(n, found)
+    start = 1
+    chosen: Optional[tuple[int, int]] = None
+    for m in sizes:
+        if fixed_quadric_space(m).dimension >= 2:
+            chosen = (start, m)
+            break
+        start += m
+    if chosen is None:
+        start = 1
+        for m in sizes:
+            if m >= 2:
+                chosen = (start, m)
+                break
+            start += m
+    assert chosen is not None
+    block_start, block_size = chosen
+    return RegularityResult(
+        False,
+        RegularityWitness(k, block_start, block_size, fixed_quadric_space(block_size)),
+    )

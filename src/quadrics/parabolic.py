@@ -181,12 +181,28 @@ def minimal_coset_reps(k: SimpleSubset) -> list[Permutation]:
 
 @lru_cache(maxsize=None)
 def minimal_coset_rep_count(k: SimpleSubset) -> int:
-    """|W^K|, counted from the filtered enumeration rather than the
-    n!/2^|K| formula, so it stays an independent cross-check of the
-    latter. Only the count is kept, one int per K."""
+    """|W^K|, by a recursive count rather than the n!/2^|K| formula, so it
+    stays an independent cross-check of the latter. Only counts are kept,
+    one int per K and per reduced (n, K)."""
     if not k.is_special():
         raise NotSpecialError(f"{k} contains consecutive members")
-    return sum(1 for _ in _minimal_coset_rep_images(k.n, k.members))
+    return _coset_rep_count(k.n, k.members)
+
+
+@lru_cache(maxsize=None)
+def _coset_rep_count(n: int, members: tuple[int, ...]) -> int:
+    """The number of permutations of [n] ascending at every position in
+    members, counted by the position p of the entry n. p is not a member,
+    since nothing exceeds n; deleting p satisfies the pair (p-1, p) and
+    shifts the later pairs down by one."""
+    if n == 1:
+        return 1
+    total = 0
+    for p in range(1, n + 1):
+        if p not in members:
+            rest = tuple(i if i < p else i - 1 for i in members if i != p - 1)
+            total += _coset_rep_count(n - 1, rest)
+    return total
 
 
 def parabolic_subgroup(k: SimpleSubset) -> list[Permutation]:

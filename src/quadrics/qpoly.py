@@ -4,13 +4,16 @@ the special subvarieties of complete quadrics.
 
 Rational functions are never represented. Identities whose natural
 statement has rational-function sides are verified after cross-multiplying
-both sides into the polynomial ring, and the product formula is computed
-as one exact division of assembled products, so no intermediate quotient
-ever fails to be a polynomial.
+both sides into the polynomial ring. Products of factors 1 - q^k are built
+on plain coefficient lists, one O(degree) step per factor, and the product
+formula divides its denominator out one factor 1 - q^k at a time; every
+quotient is exact because the whole denominator divides the numerator.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import sub
 from typing import Iterable
 
 from quadrics.parabolic import NotSpecialError, SimpleSubset
@@ -202,26 +205,51 @@ def is_palindromic(p: QPolynomial) -> bool:
     return p.coeffs == p.coeffs[::-1]
 
 
+def _times_one_minus_q_pow(coeffs: list[int], k: int) -> list[int]:
+    """coeffs * (1 - q^k) on coefficient lists, in O(degree)."""
+    out = coeffs + [0] * k
+    # out[i] -= coeffs[i - k] for every i >= k, in one pass
+    out[k:] = map(sub, out[k:], coeffs)
+    return out
+
+
+def _over_one_minus_q_pow(coeffs: list[int], k: int) -> list[int]:
+    """coeffs / (1 - q^k) on coefficient lists, in O(degree); the inverse
+    of _times_one_minus_q_pow. The quotient c satisfies
+    c[i] = coeffs[i] + c[i - k], and the division is exact exactly when
+    that recurrence leaves zeros in its top k places."""
+    out = list(coeffs)
+    # along each residue class mod k the recurrence is a running sum
+    for r in range(k):
+        out[r::k] = accumulate(out[r::k])
+    top = max(len(out) - k, 0)
+    if any(out[top:]):
+        raise InexactDivisionError(f"not a multiple of 1 - q^{k}")
+    return out[:top]
+
+
 def product_formula(subset: SimpleSubset) -> QPolynomial:
     """Closed form of the q-Poincare polynomial of the special subvariety
     indexed by subset I inside the rank-n variety of complete quadrics:
 
         ((1 - q^3) / (1 - q^2))^|I| * prod_{k=1}^{n} (1 - q^k) / (1 - q).
 
-    Assembled as a single exact division: the full numerator
-    (1 - q^3)^|I| * prod(1 - q^k) divided by (1 - q^2)^|I| * (1 - q)^n.
-    The quotient is a genuine polynomial exactly when I is special; an
+    The numerator (1 - q^3)^|I| * prod(1 - q^k) is multiplied out, then the
+    denominator (1 - q^2)^|I| * (1 - q)^n is divided out one factor at a
+    time, each step O(degree). Every step is exact because the whole
+    denominator divides the numerator when I is special; an
     InexactDivisionError escaping this function means an implementation bug.
     """
     if not subset.is_special():
         raise NotSpecialError(f"{subset} contains consecutive members")
     n = subset.n
     size = len(subset)
-    num = one_minus_q_pow(3) ** size
-    for k in range(1, n + 1):
-        num = num * one_minus_q_pow(k)
-    den = one_minus_q_pow(2) ** size * one_minus_q_pow(1) ** n
-    return exact_div(num, den)
+    coeffs = [1]
+    for k in sorted([3] * size + list(range(1, n + 1))):
+        coeffs = _times_one_minus_q_pow(coeffs, k)
+    for k in [2] * size + [1] * n:
+        coeffs = _over_one_minus_q_pow(coeffs, k)
+    return QPolynomial(coeffs)
 
 
 def height_identity_check(n: int) -> bool:
@@ -233,14 +261,17 @@ def height_identity_check(n: int) -> bool:
 
         prod(1 - q^(j-i+1)) * (1 - q)^n  ==  [n]_q! * prod(1 - q^(j-i)) * (1 - q)^n
 
-    as exact polynomials.
+    as exact polynomials. Both sides are built on coefficient lists, one
+    O(degree) step per factor 1 - q^k.
     """
     if n < 1:
         raise ValueError("rank must be at least 1")
-    lhs = one_minus_q_pow(1) ** n
-    rhs = q_factorial(n) * one_minus_q_pow(1) ** n
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            lhs = lhs * one_minus_q_pow(j - i + 1)
-            rhs = rhs * one_minus_q_pow(j - i)
-    return lhs == rhs
+    lhs = [1]
+    rhs = list(q_factorial(n).coeffs)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    # smallest k first keeps the intermediate lists shortest
+    for k in sorted([1] * n + [j - i + 1 for i, j in pairs]):
+        lhs = _times_one_minus_q_pow(lhs, k)
+    for k in sorted([1] * n + [j - i for i, j in pairs]):
+        rhs = _times_one_minus_q_pow(rhs, k)
+    return QPolynomial(lhs) == QPolynomial(rhs)

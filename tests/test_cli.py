@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from quadrics.cells import poincare_full_variety, poincare_sum
-from quadrics.cli import main
+from quadrics.cli import ALL_CHECKS, main
 from quadrics.parabolic import SimpleSubset, special_count
 from quadrics.qpoly import QPolynomial, product_formula
 
@@ -132,6 +132,25 @@ def test_verify_empty_check_list_is_invalid_input(spelling, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: no checks given; choose from km, ")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+@pytest.mark.parametrize("check", ALL_CHECKS)
+def test_verify_rejects_rank_below_one(check, n, capsys):
+    code = main(["verify", "--n", n, "--checks", check, "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: rank must be at least 1\n"
+
+
+def test_verify_regularity_of_a_large_special_subset(capsys):
+    # 1,200 members: the witness search must neither list subsets nor
+    # recurse once per member
+    members = ",".join(str(i) for i in range(1, 2400, 2))
+    code, out = run_main(capsys, "verify", "--n", "2401", "--subset", members, "--checks", "regularity")
+    assert code == 0
+    assert out.endswith(": pass\nresult: 1 passed, 0 failed\n")
 
 
 def test_verify_all_checks_small(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from quadrics.nilfix import (
     NotSymmetricError,
     PrimeTooSmallError,
     RationalMatrix,
+    RegularityResult,
+    RegularityWitness,
     block_sizes,
     diagonal_h,
     fixed_flag,
@@ -257,6 +260,106 @@ def test_regularity_classifier_agrees_with_specialness():
                     assert result.witness is not None
                     assert set(result.witness.k.members) <= set(members)
                     assert result.witness.family.has_nondegenerate
+
+
+def enumeration_classifier(i_set):
+    """Oracle for regularity_classifier: walk every K inside I in the order
+    of I.subsets() and report the first non-empty K whose blocks all carry
+    a nondegenerate fixed quadric."""
+    n = i_set.n
+    for k in i_set.subsets():
+        if not k.members:
+            continue
+        sizes = block_sizes(n, k.members)
+        if all(fixed_quadric_space(m).has_nondegenerate for m in sizes):
+            start = 1
+            chosen = None
+            for m in sizes:
+                if fixed_quadric_space(m).dimension >= 2:
+                    chosen = (start, m)
+                    break
+                start += m
+            if chosen is None:
+                start = 1
+                for m in sizes:
+                    if m >= 2:
+                        chosen = (start, m)
+                        break
+                    start += m
+            block_start, block_size = chosen
+            return RegularityResult(
+                False,
+                RegularityWitness(k, block_start, block_size, fixed_quadric_space(block_size)),
+            )
+    return RegularityResult(True, None)
+
+
+def every_subset(n):
+    for r in range(n):
+        for members in itertools.combinations(range(1, n), r):
+            yield SimpleSubset(n, members)
+
+
+def test_classifier_matches_enumeration_oracle():
+    for n in range(1, 12):
+        for i_set in every_subset(n):
+            got = regularity_classifier(i_set)
+            expected = enumeration_classifier(i_set)
+            assert got.regular == expected.regular, i_set
+            if expected.witness is None:
+                assert got.witness is None, i_set
+                continue
+            for field in ("k", "block_start", "block_size", "family"):
+                assert getattr(got.witness, field) == getattr(expected.witness, field), (i_set, field)
+
+
+def test_witness_search_matches_enumeration_for_any_block_rule():
+    # the search must not lean on which block sizes happen to pass: for
+    # random rules, including ones that reject blocks of size 1, it finds
+    # the same first K as walking the subsets
+    rng = random.Random(11)
+    for _ in range(400):
+        allowed = {m for m in range(1, 12) if rng.random() < 0.5}
+        n = rng.randint(1, 10)
+        members = tuple(sorted(rng.sample(range(1, n), rng.randint(0, n - 1))))
+        expected = next(
+            (
+                k.members
+                for k in SimpleSubset(n, members).subsets()
+                if k.members and all(m in allowed for m in block_sizes(n, k.members))
+            ),
+            None,
+        )
+        assert nilfix._first_witness_members(n, members, allowed.__contains__) == expected
+
+
+def test_witness_search_remembers_failed_states():
+    # only blocks of size 2 allowed: the one candidate K = {1, 3, ..., 39}
+    # needs 39, which is missing, so every branch fails; without the memo
+    # of failed states the search would revisit Fibonacci-many prefixes
+    calls = 0
+
+    def only_pairs(m):
+        nonlocal calls
+        calls += 1
+        assert calls < 100_000, "the witness search re-explores failed states"
+        return m == 2
+
+    assert nilfix._first_witness_members(40, tuple(range(1, 39)), only_pairs) is None
+    assert nilfix._first_witness_members(40, tuple(range(1, 40)), only_pairs) == tuple(range(1, 40, 2))
+
+
+def test_classifier_does_not_list_subsets(monkeypatch):
+    def refuse(self):
+        raise AssertionError("regularity_classifier listed the subsets of I")
+
+    special = SimpleSubset(16, range(1, 16, 2))
+    non_special = SimpleSubset(16, (2, 5, 9, 11, 12, 15))
+    expected = enumeration_classifier(non_special)
+    monkeypatch.setattr(SimpleSubset, "subsets", refuse)
+    assert regularity_classifier(special) == RegularityResult(True, None)
+    assert regularity_classifier(non_special) == expected
+    assert expected.witness.k == SimpleSubset(16, (11, 12))
 
 
 def test_fixed_quadric_space_is_cached_value_object():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -138,6 +139,33 @@ def test_minimal_coset_reps_cardinality():
             expected = math.factorial(n) // 2 ** len(k)
             assert minimal_coset_rep_count(k) == expected
             assert len(minimal_coset_reps(k)) == expected
+
+
+def enumerated_coset_rep_counts(n):
+    """Oracle for minimal_coset_rep_count: filter all n! permutations once
+    by their ascent sets and count, for each special K, those ascending
+    at every member of K."""
+    ascent_masks = Counter(
+        sum(1 << i for i in range(n - 1) if images[i] < images[i + 1])
+        for images in itertools.permutations(range(1, n + 1))
+    )
+    return {
+        k: sum(c for mask, c in ascent_masks.items() if mask & k.mask == k.mask)
+        for k in enumerate_special(n)
+    }
+
+
+def test_recursive_count_matches_enumeration_oracle():
+    minimal_coset_rep_count.cache_clear()
+    for n in range(1, 9):
+        for k, expected in enumerated_coset_rep_counts(n).items():
+            assert minimal_coset_rep_count(k) == expected, k
+
+
+def test_recursive_count_matches_formula_past_the_enumeration():
+    for n in range(9, 17):
+        for k in enumerate_special(n):
+            assert minimal_coset_rep_count(k) == math.factorial(n) // 2 ** len(k)
 
 
 def test_minimal_coset_reps_in_lexicographic_order():

@@ -1,8 +1,10 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from quadrics import qpoly
 from quadrics.parabolic import NotSpecialError, SimpleSubset, enumerate_special
 from quadrics.qpoly import (
     InexactDivisionError,
@@ -135,5 +137,80 @@ def test_is_palindromic():
 
 
 def test_height_identity():
-    for n in range(1, 11):
-        assert height_identity_check(n)
+    for n in range(1, 41):
+        assert height_identity_check(n), n
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_height_check_fails_on_an_off_by_one_exponent(shift, monkeypatch):
+    # the factor 1 - q^n occurs on the left side only (j - i + 1 = n at
+    # i = 1, j = n); moving its exponent by one must break the identity
+    times = qpoly._times_one_minus_q_pow
+    for n in (2, 3, 7, 20):
+        monkeypatch.setattr(
+            qpoly,
+            "_times_one_minus_q_pow",
+            lambda coeffs, k, n=n: times(coeffs, k + shift if k == n else k),
+        )
+        assert not height_identity_check(n), n
+    monkeypatch.undo()
+    assert all(height_identity_check(n) for n in (2, 3, 7, 20))
+
+
+coeff_lists = st.lists(st.integers(-10**30, 10**30), max_size=12)
+exponents = st.integers(1, 9)
+
+
+@given(coeff_lists, exponents)
+def test_times_one_minus_q_pow_is_dense_multiplication(coeffs, k):
+    out = qpoly._times_one_minus_q_pow(coeffs, k)
+    assert QPolynomial(out) == QPolynomial(coeffs) * one_minus_q_pow(k)
+
+
+@given(coeff_lists, exponents)
+def test_over_one_minus_q_pow_inverts_multiplication(coeffs, k):
+    product = qpoly._times_one_minus_q_pow(coeffs, k)
+    assert QPolynomial(qpoly._over_one_minus_q_pow(product, k)) == QPolynomial(coeffs)
+
+
+@given(coeff_lists, exponents, st.lists(st.integers(-9, 9), min_size=1, max_size=9))
+def test_over_one_minus_q_pow_rejects_a_non_multiple(coeffs, k, remainder):
+    # adding a non-zero polynomial of degree < k to a multiple of 1 - q^k
+    # leaves a non-multiple
+    remainder = remainder[:k]
+    if not any(remainder):
+        remainder[0] = 1
+    product = qpoly._times_one_minus_q_pow(coeffs, k)
+    dividend = (QPolynomial(product) + QPolynomial(remainder)).coeffs
+    with pytest.raises(InexactDivisionError):
+        exact_div(QPolynomial(dividend), one_minus_q_pow(k))
+    with pytest.raises(InexactDivisionError):
+        qpoly._over_one_minus_q_pow(list(dividend), k)
+
+
+def dense_product_formula(subset):
+    """Oracle: the closed form assembled densely and divided once, the
+    full numerator (1 - q^3)^|I| * prod(1 - q^k) by (1 - q^2)^|I| * (1 - q)^n."""
+    n = subset.n
+    size = len(subset)
+    num = one_minus_q_pow(3) ** size
+    for k in range(1, n + 1):
+        num = num * one_minus_q_pow(k)
+    den = one_minus_q_pow(2) ** size * one_minus_q_pow(1) ** n
+    return exact_div(num, den)
+
+
+def random_special(rng, n, size):
+    picks = sorted(rng.sample(range(1, n - size + 1), size))
+    return SimpleSubset(n, [p + j for j, p in enumerate(picks)])
+
+
+def test_product_formula_matches_dense_oracle():
+    for n in range(1, 13):
+        for i_set in enumerate_special(n):
+            assert product_formula(i_set) == dense_product_formula(i_set), i_set
+    rng = random.Random(60)
+    for _ in range(5):
+        i_set = random_special(rng, 60, 15)
+        assert i_set.is_special() and len(i_set) == 15
+        assert product_formula(i_set) == dense_product_formula(i_set), i_set
