@@ -19,13 +19,18 @@ Kostant-Macdonald identity this package verifies.
 and the tests evaluate R through it. The cell sums and the fixed-point
 listings use the equivalent local comparison of `quadrics.kernel`
 instead, with `r_set` as its test oracle.
+
+The listings are generated one record at a time (`iter_fixed_points`,
+`iter_fixed_points_full_variety`), straight from the depth-first search
+over W^K that carries ell(w), so a caller that writes each record as it
+arrives holds no more than one of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from quadrics.kernel import cell_census, r_members
 from quadrics.parabolic import (
@@ -34,6 +39,7 @@ from quadrics.parabolic import (
     enumerate_special,
     is_minimal_rep,
     longest_element,
+    minimal_coset_rep_images,
     minimal_coset_reps,
 )
 from quadrics.qpoly import QPolynomial, monomial, q_integer, product_formula
@@ -248,36 +254,44 @@ def _r_and_descents(k: SimpleSubset) -> tuple[tuple[tuple[int, ...], tuple[int, 
     )
 
 
-def fixed_points(i_set: SimpleSubset) -> list[CellRecord]:
+def iter_fixed_points(i_set: SimpleSubset) -> Iterator[CellRecord]:
     """One CellRecord per torus fixed point of the subvariety indexed by
-    special I, in canonical order: K by lexicographic subset order, w by
-    lexicographic one-line order."""
+    special I, generated in canonical order: K by lexicographic subset
+    order, w by lexicographic one-line order. I is checked before the
+    first record."""
     _require_special(i_set)
-    outside = set(i_set.complement())
-    records = []
-    for k in i_set.subsets():
-        base = len(k)
-        for w in minimal_coset_reps(k):
-            r = r_members(k.members, w.images)
-            dim_x = w.length + base + len(r)
-            dim_xi = dim_x - sum(1 for i in r if i in outside)
-            records.append(CellRecord(k, w, r, dim_x, dim_xi))
-    return records
+    return _records(i_set.subsets(), set(i_set.complement()))
+
+
+def iter_fixed_points_full_variety(n: int) -> Iterator[CellRecord]:
+    """One CellRecord per torus fixed point of the full rank-n variety,
+    generated in canonical order; dim_xi stays unset since no target
+    subvariety is involved. n is checked before the first record."""
+    if n < 1:
+        raise ValueError("rank must be at least 1")
+    return _records(enumerate_special(n), None)
+
+
+def _records(ks: Iterable[SimpleSubset], outside: Optional[set[int]]) -> Iterator[CellRecord]:
+    """Records over W^K for each K in turn: R by the local rule, ell(w) as
+    carried by the search, and dim_xi when the complement of I is given."""
+    for k in ks:
+        members, base = k.members, len(k)
+        for images, length in minimal_coset_rep_images(k):
+            r = r_members(members, images)
+            dim_x = length + base + len(r)
+            dim_xi = None if outside is None else dim_x - sum(1 for i in r if i in outside)
+            yield CellRecord(k, Permutation(images), r, dim_x, dim_xi)
+
+
+def fixed_points(i_set: SimpleSubset) -> list[CellRecord]:
+    """The records of iter_fixed_points(i_set), as a list."""
+    return list(iter_fixed_points(i_set))
 
 
 def fixed_points_full_variety(n: int) -> list[CellRecord]:
-    """One CellRecord per torus fixed point of the full rank-n variety, in
-    canonical order; dim_xi stays unset since no target subvariety is
-    involved."""
-    if n < 1:
-        raise ValueError("rank must be at least 1")
-    records = []
-    for k in enumerate_special(n):
-        base = len(k)
-        for w in minimal_coset_reps(k):
-            r = r_members(k.members, w.images)
-            records.append(CellRecord(k, w, r, w.length + base + len(r)))
-    return records
+    """The records of iter_fixed_points_full_variety(n), as a list."""
+    return list(iter_fixed_points_full_variety(n))
 
 
 def betti(i_set: SimpleSubset) -> list[int]:

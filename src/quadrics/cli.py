@@ -29,14 +29,18 @@ from quadrics.cells import (
     NotMinimalRepError,
     SubsetViolationError,
     descent_characterization_check,
-    fixed_points,
-    fixed_points_full_variety,
     full_variety_orbit_sum,
+    iter_fixed_points,
+    iter_fixed_points_full_variety,
     per_orbit_closed_form_check,
     per_orbit_sum,
     poincare_sum,
     verify_km,
 )
+# Unused here, since cmd_cells streams through the iter_ forms; both names
+# stay bound because the benchmark tracer wraps them and reads len() of
+# what they return.
+from quadrics.cells import fixed_points, fixed_points_full_variety  # noqa: F401
 from quadrics.nilfix import (
     fixed_quadric_space,
     fixed_system_rows,
@@ -344,54 +348,77 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # --- cells ---------------------------------------------------------------------
 
+# The report is written record by record as the listing generates it, so
+# memory stays flat however many fixed points there are. Every input error
+# is raised before --out is opened and before the first byte is written.
+# The JSON fragments reproduce json.dumps(doc, indent=2) byte for byte.
 def cmd_cells(args: argparse.Namespace) -> int:
     n = args.n
     _check_cap(n, args.max_n)
     subset = _parse_subset(args.subset, n) if args.subset is not None else None
     if subset is not None:
-        records = fixed_points(subset)
+        records = iter_fixed_points(subset)
     else:
-        records = fixed_points_full_variety(n)
+        records = iter_fixed_points_full_variety(n)
 
     if args.format == "json":
-        doc = {
-            "n": n,
-            "subset": list(subset.members) if subset is not None else None,
-            "records": [
-                {
-                    "K": list(rec.k.members),
-                    "w": list(rec.w.images),
-                    "R": list(rec.r),
-                    "dim_X": rec.dim_x,
-                    "dim_XI": rec.dim_xi,
-                }
-                for rec in records
-            ],
-        }
-        _emit(args, json.dumps(doc, indent=2))
+        chunks = _cells_json(n, subset, records)
     elif args.format == "csv":
-        lines = ["K,w,R,dim_X,dim_XI"]
-        for rec in records:
-            k_field = ";".join(str(i) for i in rec.k.members)
-            r_field = ";".join(str(i) for i in rec.r)
-            xi_field = "" if rec.dim_xi is None else str(rec.dim_xi)
-            lines.append(f"{k_field},{rec.w},{r_field},{rec.dim_x},{xi_field}")
-        _emit(args, "\n".join(lines))
+        chunks = _cells_csv(records)
     else:
-        lines = []
-        for rec in records:
-            parts = [
-                f"K={rec.k}",
-                f"w={rec.w}",
-                f"R={_subset_str(rec.r)}",
-                f"dim_X={rec.dim_x}",
-            ]
-            if rec.dim_xi is not None:
-                parts.append(f"dim_XI={rec.dim_xi}")
-            lines.append(" ".join(parts))
-        lines.append(f"total: {len(records)} fixed points")
-        _emit(args, "\n".join(lines))
+        chunks = _cells_text(records)
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.writelines(chunks)
+    else:
+        sys.stdout.writelines(chunks)
     return EXIT_OK
+
+
+def _json_ints(values, indent: str) -> str:
+    """A list of ints laid out as json.dumps(..., indent=2) lays it out
+    when the list opens at the given indent."""
+    if not values:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(map(str, values)) + "\n" + indent + "]"
+
+
+def _cells_json(n: int, subset, records):
+    subset_field = "null" if subset is None else _json_ints(subset.members, "  ")
+    yield f'{{\n  "n": {n},\n  "subset": {subset_field},\n  "records": ['
+    separator = "\n"
+    for rec in records:
+        xi_field = "null" if rec.dim_xi is None else rec.dim_xi
+        yield (
+            f"{separator}    {{\n"
+            f'      "K": {_json_ints(rec.k.members, "      ")},\n'
+            f'      "w": {_json_ints(rec.w.images, "      ")},\n'
+            f'      "R": {_json_ints(rec.r, "      ")},\n'
+            f'      "dim_X": {rec.dim_x},\n'
+            f'      "dim_XI": {xi_field}\n'
+            "    }"
+        )
+        separator = ",\n"
+    yield "]\n}\n" if separator == "\n" else "\n  ]\n}\n"
+
+
+def _cells_csv(records):
+    yield "K,w,R,dim_X,dim_XI\n"
+    for rec in records:
+        k_field = ";".join(str(i) for i in rec.k.members)
+        r_field = ";".join(str(i) for i in rec.r)
+        xi_field = "" if rec.dim_xi is None else str(rec.dim_xi)
+        yield f"{k_field},{rec.w},{r_field},{rec.dim_x},{xi_field}\n"
+
+
+def _cells_text(records):
+    count = 0
+    for rec in records:
+        count += 1
+        xi_part = "" if rec.dim_xi is None else f" dim_XI={rec.dim_xi}"
+        yield f"K={rec.k} w={rec.w} R={_subset_str(rec.r)} dim_X={rec.dim_x}{xi_part}\n"
+    yield f"total: {count} fixed points\n"
 
 
 # --- special ---------------------------------------------------------------------

@@ -7,11 +7,17 @@ the pairwise disjoint adjacent transpositions (i, i+1), i in K, and the
 minimal coset representatives are the permutations with no descent inside
 K. Only the special case is supported; the guard is enforced here, at the
 API boundary, for every consumer of W_K machinery.
+
+W^K is generated directly, never by filtering S_n: a depth-first search
+fills the one-line images left to right in increasing order of value,
+placing a value at position p+1 only above w(p) when p is in K. The
+search carries ell(w) as the sum of the Lehmer-code digits, the index of
+each chosen value among those still unplaced, and keeps at most
+n(n+1)/2 partial permutations pending.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -164,19 +170,52 @@ def is_minimal_rep(k: SimpleSubset, w: Permutation) -> bool:
     return all(w.images[i - 1] < w.images[i] for i in k.members)
 
 
-def _minimal_coset_rep_images(n: int, members: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    positions = tuple(i - 1 for i in members)
-    for images in itertools.permutations(range(1, n + 1)):
-        if all(images[p] < images[p + 1] for p in positions):
-            yield images
+def minimal_coset_rep_images(k: SimpleSubset) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(w.images, ell(w)) for each w in W^K, in lexicographic one-line
+    order, generated one at a time. K is checked before the first item.
+
+    >>> list(minimal_coset_rep_images(SimpleSubset(3, (1,))))
+    [((1, 2, 3), 0), ((1, 3, 2), 1), ((2, 3, 1), 2)]
+    """
+    if not k.is_special():
+        raise NotSpecialError(f"{k} contains consecutive members")
+    return _coset_rep_search(k.n, k.members)
+
+
+def _coset_rep_search(n: int, members: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
+    if n == 1:
+        yield (1,), 0
+        return
+    # ascent[p]: position p is in K, so w(p+1) must exceed w(p)
+    ascent = [False] * (n + 1)
+    for i in members:
+        ascent[i] = True
+    # (prefix, unplaced values in increasing order, inversions so far);
+    # children are pushed largest value first so the smallest pops first
+    stack = [((), tuple(range(1, n + 1)), 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        prefix, unplaced, length = pop()
+        p = len(prefix)
+        floor = prefix[-1] if ascent[p] else 0
+        if len(unplaced) == 2:
+            # the last two values are placed together, one stack entry per pair of leaves
+            a, b = unplaced
+            if a > floor:
+                yield prefix + (a, b), length
+            if b > floor and not ascent[p + 1]:
+                yield prefix + (b, a), length + 1
+            continue
+        for idx in range(len(unplaced) - 1, -1, -1):
+            value = unplaced[idx]
+            if value > floor:
+                push((prefix + (value,), unplaced[:idx] + unplaced[idx + 1 :], length + idx))
 
 
 def minimal_coset_reps(k: SimpleSubset) -> list[Permutation]:
     """The set W^K = {w : w(i) < w(i+1) for all i in K} in lexicographic
     one-line order; there are n!/2^|K| of them for special K."""
-    if not k.is_special():
-        raise NotSpecialError(f"{k} contains consecutive members")
-    return [Permutation(images) for images in _minimal_coset_rep_images(k.n, k.members)]
+    return [Permutation(images) for images, _ in minimal_coset_rep_images(k)]
 
 
 @lru_cache(maxsize=None)
@@ -226,6 +265,7 @@ __all__ = [
     "special_count",
     "longest_element",
     "is_minimal_rep",
+    "minimal_coset_rep_images",
     "minimal_coset_reps",
     "parabolic_subgroup",
 ]

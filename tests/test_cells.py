@@ -12,6 +12,8 @@ from quadrics.cells import (
     descent_characterization_check,
     fixed_points,
     fixed_points_full_variety,
+    iter_fixed_points,
+    iter_fixed_points_full_variety,
     pairing_vector,
     per_orbit_closed_form_check,
     per_orbit_sum,
@@ -316,6 +318,17 @@ def test_fixed_points_full_variety():
     assert all(rec.dim_xi is None for rec in records)
     dims = sorted(rec.dim_x for rec in records)
     assert dims == [0, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 5]
+
+
+def test_listing_generators_check_input_before_the_first_record():
+    # raised by the call, not by the first next(), so the CLI rejects bad
+    # input before it writes a byte
+    with pytest.raises(NotSpecialError):
+        iter_fixed_points(SimpleSubset(4, (1, 2)))
+    with pytest.raises(ValueError):
+        iter_fixed_points_full_variety(0)
+    with pytest.raises(NotSpecialError):
+        fixed_points(SimpleSubset(4, (2, 3)))
 
 
 def test_betti_numbers():

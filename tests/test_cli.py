@@ -1,13 +1,20 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from quadrics.cells import poincare_full_variety, poincare_sum
+from quadrics.cells import (
+    fixed_points,
+    fixed_points_full_variety,
+    poincare_full_variety,
+    poincare_sum,
+)
 from quadrics.cli import ALL_CHECKS, main
-from quadrics.parabolic import SimpleSubset, special_count
+from quadrics.parabolic import SimpleSubset, enumerate_special, special_count
 from quadrics.qpoly import QPolynomial, product_formula
 
 
@@ -171,6 +178,116 @@ def test_cells_listing_csv(capsys):
     dims = sorted(int(row.split(",")[4]) for row in rows)
     assert dims == [0, 1, 1, 2, 2, 2, 3, 3, 4]
     assert rows[0] == ",123,,0,0"
+
+
+def cells_report_oracle(n, subset, fmt):
+    """The `cells` report as the list-building formatter wrote it before
+    the listing streamed: every record, one dict per record, the whole
+    document and its string held at once."""
+    records = fixed_points(subset) if subset is not None else fixed_points_full_variety(n)
+    if fmt == "json":
+        doc = {
+            "n": n,
+            "subset": list(subset.members) if subset is not None else None,
+            "records": [
+                {
+                    "K": list(rec.k.members),
+                    "w": list(rec.w.images),
+                    "R": list(rec.r),
+                    "dim_X": rec.dim_x,
+                    "dim_XI": rec.dim_xi,
+                }
+                for rec in records
+            ],
+        }
+        return json.dumps(doc, indent=2) + "\n"
+    if fmt == "csv":
+        lines = ["K,w,R,dim_X,dim_XI"]
+        for rec in records:
+            k_field = ";".join(str(i) for i in rec.k.members)
+            r_field = ";".join(str(i) for i in rec.r)
+            xi_field = "" if rec.dim_xi is None else str(rec.dim_xi)
+            lines.append(f"{k_field},{rec.w},{r_field},{rec.dim_x},{xi_field}")
+        return "\n".join(lines) + "\n"
+    lines = []
+    for rec in records:
+        parts = [
+            f"K={rec.k}",
+            f"w={rec.w}",
+            "R={" + ",".join(str(i) for i in rec.r) + "}",
+            f"dim_X={rec.dim_x}",
+        ]
+        if rec.dim_xi is not None:
+            parts.append(f"dim_XI={rec.dim_xi}")
+        lines.append(" ".join(parts))
+    lines.append(f"total: {len(records)} fixed points")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_streamed_cells_report_matches_list_formatter(fmt, tmp_path, capsys):
+    for n in range(1, 7):
+        for subset in [None, *enumerate_special(n)]:
+            argv = ["cells", "--n", str(n), "--format", fmt]
+            if subset is not None:
+                argv += ["--subset", ",".join(map(str, subset.members)) or "none"]
+            expected = cells_report_oracle(n, subset, fmt)
+            assert run_main(capsys, *argv) == (0, expected), argv
+            target = tmp_path / "report"
+            assert run_main(capsys, *argv, "--out", str(target)) == (0, ""), argv
+            assert target.read_text() == expected, argv
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("--n", "0"), 2),
+        (("--n", "10"), 3),
+        (("--n", "5", "--subset", "1,x"), 2),
+        (("--n", "5", "--subset", "1,2"), 2),
+    ],
+)
+def test_cells_input_errors_write_nothing(argv, code, fmt, tmp_path, capsys):
+    target = tmp_path / "report"
+    for out in ((), ("--out", str(target))):
+        assert main(["cells", *argv, "--format", fmt, *out]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not target.exists()
+
+
+class CountingSink(io.TextIOBase):
+    """A stdout that keeps only the size and the tail of what it is sent."""
+
+    def __init__(self):
+        self.chars = 0
+        self.tail = ""
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.chars += len(text)
+        self.tail = (self.tail + text)[-64:]
+        return len(text)
+
+
+def test_streamed_cells_json_holds_no_listing(monkeypatch):
+    # 35,280 records; building the document peaked near 100 MB
+    sink = CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["cells", "--n", "7", "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.tail.endswith('"dim_XI": null\n    }\n  ]\n}\n')
+    assert sink.chars > 35280 * 100
+    assert peak < 2_000_000
 
 
 def test_cells_full_variety(capsys):

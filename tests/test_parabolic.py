@@ -12,6 +12,7 @@ from quadrics.parabolic import (
     is_minimal_rep,
     longest_element,
     minimal_coset_rep_count,
+    minimal_coset_rep_images,
     minimal_coset_reps,
     parabolic_subgroup,
     special_count,
@@ -131,6 +132,44 @@ def test_minimal_coset_reps_examples():
     assert len(minimal_coset_reps(SimpleSubset(3, ()))) == 6
     with pytest.raises(NotSpecialError):
         minimal_coset_reps(SimpleSubset(4, (1, 2)))
+    with pytest.raises(NotSpecialError):
+        minimal_coset_rep_images(SimpleSubset(4, (1, 2)))  # before iterating
+
+
+def filtered_coset_rep_images(n, members):
+    """Oracle for the depth-first search: filter all n! permutations, in
+    lexicographic order, by their ascents at the members of K."""
+    positions = tuple(i - 1 for i in members)
+    for images in itertools.permutations(range(1, n + 1)):
+        if all(images[p] < images[p + 1] for p in positions):
+            yield images
+
+
+def assert_matches_filtered_oracle(k, generated):
+    """generated, a list of (images, length), is W^K in the oracle's order
+    with every length equal to the inversion count."""
+    assert [images for images, _ in generated] == list(
+        filtered_coset_rep_images(k.n, k.members)
+    ), k
+    for images, length in generated:
+        assert length == Permutation(images).length, (k, images, length)
+
+
+def test_search_matches_filtered_enumeration():
+    for n in range(1, 9):
+        for k in enumerate_special(n):
+            assert_matches_filtered_oracle(k, list(minimal_coset_rep_images(k)))
+
+
+@pytest.mark.parametrize("members", [(), (2,), (1, 3)])
+def test_oracle_comparison_catches_a_wrong_length(members):
+    k = SimpleSubset(4, members)
+    generated = list(minimal_coset_rep_images(k))
+    for index, (images, length) in enumerate(generated):
+        mutated = list(generated)
+        mutated[index] = (images, length + 1)
+        with pytest.raises(AssertionError):
+            assert_matches_filtered_oracle(k, mutated)
 
 
 def test_minimal_coset_reps_cardinality():
