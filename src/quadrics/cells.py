@@ -18,7 +18,10 @@ Kostant-Macdonald identity this package verifies.
 `r_set` is that weight-vector definition of R_K(w); the descent check
 and the tests evaluate R through it. The cell sums and the fixed-point
 listings use the equivalent local comparison of `quadrics.kernel`
-instead, with `r_set` as its test oracle.
+instead, with `r_set` as its test oracle. Each cell sum is one call of
+`kernel.cell_census`, which folds the choice of K into its DP: one orbit
+K is the interval K <= K <= K, the subvariety indexed by I is
+{} <= K <= I, and the full variety lets every special K in.
 
 The listings are generated one record at a time (`iter_fixed_points`,
 `iter_fixed_points_full_variety`), straight from the depth-first search
@@ -147,13 +150,11 @@ def cell_dim_in_subvariety(k: SimpleSubset, w: Permutation, i_set: SimpleSubset)
     return plus_cell_dim(k, w) - sum(1 for i in r if i in outside)
 
 
-def _census_polynomial(n: int, k_members: tuple[int, ...], target_mask: int) -> QPolynomial:
-    """Sum of q^(ell(w) + |K| + |R_K(w) intersect target|) over W^K."""
-    census = cell_census(n, k_members, target_mask)
-    coeffs = [0] * (len(k_members) + max(census) + 1)
-    for exponent, count in census.items():
-        coeffs[len(k_members) + exponent] = count
-    return QPolynomial(coeffs)
+def _cell_sum(n: int, forced: int, allowed: int, target: int) -> QPolynomial:
+    """Sum of q^(ell(w) + |K| + |R_K(w) intersect target|) over the special
+    K with forced <= K <= allowed (as masks) and w in W^K: one census."""
+    census = cell_census(n, forced, allowed, target)
+    return QPolynomial(census.get(e, 0) for e in range(max(census) + 1))
 
 
 def per_orbit_sum(k: SimpleSubset, i_set: SimpleSubset) -> QPolynomial:
@@ -163,40 +164,33 @@ def per_orbit_sum(k: SimpleSubset, i_set: SimpleSubset) -> QPolynomial:
     _require_special(k)
     if not k.issubset(i_set):
         raise SubsetViolationError(f"{k} is not contained in {i_set}")
-    rest_mask = i_set.mask & ~k.mask
-    return _census_polynomial(k.n, k.members, rest_mask)
+    return _cell_sum(k.n, k.mask, k.mask, i_set.mask & ~k.mask)
 
 
 def poincare_sum(i_set: SimpleSubset) -> QPolynomial:
     """Poincare polynomial of the subvariety indexed by special I, computed
     from its cell decomposition: the double sum over K contained in I and
-    w in W^K of q^(ell(w) + |K| + s_{K,I}(w))."""
+    w in W^K of q^(ell(w) + |K| + s_{K,I}(w)), in one census."""
     _require_special(i_set)
-    total = QPolynomial()
-    for k in i_set.subsets():
-        total = total + per_orbit_sum(k, i_set)
-    return total
+    return _cell_sum(i_set.n, 0, i_set.mask, i_set.mask)
 
 
 def full_variety_orbit_sum(k: SimpleSubset) -> QPolynomial:
     """The K-layer of the full variety's cell sum: q^(ell(w) + |K| +
     |R_K(w)|) over w in W^K."""
     _require_special(k)
-    full_mask = (1 << (k.n - 1)) - 1 if k.n > 1 else 0
-    return _census_polynomial(k.n, k.members, full_mask)
+    return _cell_sum(k.n, k.mask, k.mask, (1 << (k.n - 1)) - 1)
 
 
 def poincare_full_variety(n: int) -> QPolynomial:
     """Poincare polynomial of the full rank-n variety of complete quadrics:
     cells summed over every special K and w in W^K with exponent
-    ell(w) + |K| + |R_K(w)|. Non-special orbits carry no torus fixed
-    points, so they contribute no cells."""
+    ell(w) + |K| + |R_K(w)|, in one census. Non-special orbits carry no
+    torus fixed points, so they contribute no cells."""
     if n < 1:
         raise ValueError("rank must be at least 1")
-    total = QPolynomial()
-    for k in enumerate_special(n):
-        total = total + full_variety_orbit_sum(k)
-    return total
+    everything = (1 << (n - 1)) - 1
+    return _cell_sum(n, 0, everything, everything)
 
 
 def verify_km(i_set: SimpleSubset) -> bool:

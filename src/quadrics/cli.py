@@ -29,18 +29,22 @@ from quadrics.cells import (
     NotMinimalRepError,
     SubsetViolationError,
     descent_characterization_check,
-    full_variety_orbit_sum,
     iter_fixed_points,
     iter_fixed_points_full_variety,
     per_orbit_closed_form_check,
-    per_orbit_sum,
+    poincare_full_variety,
     poincare_sum,
     verify_km,
 )
-# Unused here, since cmd_cells streams through the iter_ forms; both names
-# stay bound because the benchmark tracer wraps them and reads len() of
-# what they return.
-from quadrics.cells import fixed_points, fixed_points_full_variety  # noqa: F401
+# Unused here, since cmd_cells streams through the iter_ forms and each
+# cell sum is one engine call; these names stay bound because the
+# benchmark tracer wraps them (and reads len() of the fixed_points lists).
+from quadrics.cells import (  # noqa: F401
+    fixed_points,
+    fixed_points_full_variety,
+    full_variety_orbit_sum,
+    per_orbit_sum,
+)
 from quadrics.nilfix import (
     fixed_quadric_space,
     fixed_system_rows,
@@ -58,7 +62,6 @@ from quadrics.parabolic import (
 )
 from quadrics.qpoly import (
     InexactDivisionError,
-    QPolynomial,
     height_identity_check,
     is_palindromic,
     product_formula,
@@ -79,7 +82,9 @@ ALL_CHECKS = (
     "regularity",
     "fixed-quadrics",
 )
-# checks that walk all of S_n and therefore respect the --max-n cap
+# checks that respect the --max-n cap. Only descent walks W^K (all of S_n at
+# K = {}); km, closed-form, duality and euler take time polynomial in n per
+# subset, and share the cap until each command gets a cap for its own cost
 ENUMERATING_CHECKS = {"km", "descent", "closed-form", "duality", "euler"}
 
 FORMAT_ENV_VAR = "QUADRICS_FORMAT"
@@ -143,14 +148,6 @@ def _subset_str(members) -> str:
 
 # --- poincare ----------------------------------------------------------------
 
-def _cells_polynomial(n: int, subset, jobs: int) -> QPolynomial:
-    if subset is None:
-        layers = _pmap(full_variety_orbit_sum, enumerate_special(n), jobs)
-    else:
-        layers = _pmap(lambda k: per_orbit_sum(k, subset), subset.subsets(), jobs)
-    return sum(layers, QPolynomial())
-
-
 def cmd_poincare(args: argparse.Namespace) -> int:
     n = args.n
     subset = _parse_subset(args.subset, n) if args.subset is not None else None
@@ -165,9 +162,12 @@ def cmd_poincare(args: argparse.Namespace) -> int:
         _check_cap(n, args.max_n)
 
     product = product_formula(subset) if method in ("product", "both") else None
-    cells_poly = (
-        _cells_polynomial(n, subset, args.jobs) if method in ("cells", "both") else None
-    )
+    if method == "product":
+        cells_poly = None
+    elif subset is None:
+        cells_poly = poincare_full_variety(n)
+    else:
+        cells_poly = poincare_sum(subset)
 
     if method == "both":
         verdict = "ok" if product == cells_poly else "mismatch"

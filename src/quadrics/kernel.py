@@ -12,11 +12,15 @@ leading sign after w acts is negative exactly when
 For the census, w is built from left to right by relative rank, as in
 the inversion table behind sum_w q^ell(w) = [n]_q!: the entry at
 position p, placed with rank r among the first p entries, adds p-1-r
-inversions. Each step compares the new entry with one reference entry
-(w(p-1) when p-1 is in K, where the new entry must lie above it;
-otherwise the reference of the R-test at i = p-1), so the only state is
-the reference's rank. A census takes O(n^5) integer additions instead of
-a scan of all n! permutations.
+inversions. At step p the census also decides whether p-1 joins K. A
+join needs p-2 outside K and the new entry above w(p-1), and adds 1 to
+the exponent; otherwise the new entry is compared with the reference of
+the R-test at i = p-1 (w(p-2) if p-2 is in K, else w(p-1)) and becomes
+the next reference. So the only state is the reference's rank and one
+bit for the last join, and one pass sums the cells of every special K in
+an interval forced <= K <= allowed: one orbit, the orbits inside a
+subvariety, or the whole variety. A census takes O(n^5) integer
+additions instead of a scan of all n! permutations per K.
 """
 
 from __future__ import annotations
@@ -27,20 +31,16 @@ from functools import lru_cache
 BACKEND = "pure-python"
 
 
-def _validate(n: int, k_members: tuple[int, ...], target_mask: int) -> None:
+def _validate(n: int, forced: int, allowed: int, target: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"rank must be a positive integer, got {n!r}")
-    prev = 0
-    for i in k_members:
-        if not isinstance(i, int) or not 1 <= i <= n - 1:
-            raise ValueError(f"member {i!r} out of range [1, {n - 1}]")
-        if i <= prev:
-            raise ValueError(f"{k_members} is not strictly increasing")
-        if prev and i - prev < 2:
-            raise ValueError(f"{k_members} is not special")
-        prev = i
-    if not isinstance(target_mask, int) or not 0 <= target_mask < 1 << (n - 1):
-        raise ValueError(f"target mask {target_mask!r} out of range for rank {n}")
+    for mask in (forced, allowed, target):
+        if not isinstance(mask, int) or not 0 <= mask < 1 << (n - 1):
+            raise ValueError(f"mask {mask!r} out of range for rank {n}")
+    if forced & (forced >> 1):
+        raise ValueError(f"forced mask {forced:#b} is not special")
+    if forced & ~allowed:
+        raise ValueError(f"forced mask {forced:#b} is not inside allowed {allowed:#b}")
 
 
 @lru_cache(maxsize=None)
@@ -64,41 +64,39 @@ def r_members(k_members: tuple[int, ...], images: tuple[int, ...]) -> tuple[int,
 
 
 @lru_cache(maxsize=None)
-def cell_census(
-    n: int, k_members: tuple[int, ...] = (), target_mask: int = 0
-) -> dict[int, int]:
-    """Tally W^K by ell(w) + |R_K(w) intersect target|.
+def cell_census(n: int, forced: int, allowed: int, target: int) -> dict[int, int]:
+    """Tally the cells (K, w) by ell(w) + |K| + |R_K(w) intersect target|,
+    over the special K with forced <= K <= allowed and w in W^K.
 
-    Bit i-1 of target_mask selects i; bits inside K never count, since
-    R_K(w) avoids K. Returns {exponent: multiplicity}, the multiplicities
-    summing to n!/2^|K|. Treat the returned dict as read-only; it is cached
-    and shared between callers.
+    Bit i-1 of a mask selects i; target bits inside K never count, since
+    R_K(w) avoids K. forced = allowed = K is the census of one orbit, its
+    multiplicities summing to n!/2^|K|. Returns {exponent: multiplicity};
+    treat the dict as read-only, it is cached and shared between callers.
     """
-    _validate(n, k_members, target_mask)
-    in_k = [False] * (n + 1)
-    for i in k_members:
-        in_k[i] = True
-    size = n * (n - 1) // 2 + target_mask.bit_count() + 1
-    # states[s]: coefficients of the prefixes whose reference entry has rank s
-    states = [[1] + [0] * (size - 1)]
+    _validate(n, forced, allowed, target)
+    size = n * (n - 1) // 2 + (allowed | target).bit_count() + 1
+    # states[s, joined]: coefficients of the prefixes whose reference entry
+    # has rank s, where joined says whether the last decided i joined K
+    states = {(0, False): [1] + [0] * (size - 1)}
     for p in range(2, n + 1):
-        ascent = in_k[p - 1]
-        counted = not ascent and (target_mask >> (p - 2)) & 1
-        nxt = [[0] * size for _ in range(p)]
-        for s, poly in enumerate(states):
+        bit = 1 << (p - 2)  # i = p-1 is decided at this step
+        must, may, counted = forced & bit, allowed & bit, bool(target & bit)
+        nxt: dict[tuple[int, bool], list[int]] = {}
+        for (s, joined), poly in states.items():
+            terms = [(e, c) for e, c in enumerate(poly) if c]
             for r in range(p):
                 below = r <= s
-                if ascent:
-                    if below:
-                        continue
-                    # w(p) > w(p-1) leaves the reference's rank unchanged,
+                moves = []
+                if may and not joined and not below:
+                    # p-1 joins K: w(p) > w(p-1) keeps the reference's rank,
                     # and w(p-1) stays the reference for position p+1
-                    dest, shift = nxt[s], p - 1 - r
-                else:
-                    dest, shift = nxt[r], p - 1 - r + (below and counted)
-                for e in range(size - shift):
-                    if poly[e]:
-                        dest[e + shift] += poly[e]
+                    moves.append(((s, True), p - r))
+                if not must:
+                    moves.append(((r, False), p - 1 - r + (below and counted)))
+                for key, shift in moves:
+                    dest = nxt.setdefault(key, [0] * size)
+                    for e, c in terms:
+                        dest[e + shift] += c
         states = nxt
-    totals = [sum(column) for column in zip(*states)]
+    totals = [sum(column) for column in zip(*states.values())]
     return {e: count for e, count in enumerate(totals) if count}
