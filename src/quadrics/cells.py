@@ -23,10 +23,15 @@ instead, with `r_set` as its test oracle. Each cell sum is one call of
 K is the interval K <= K <= K, the subvariety indexed by I is
 {} <= K <= I, and the full variety lets every special K in.
 
-The listings are generated one record at a time (`iter_fixed_points`,
-`iter_fixed_points_full_variety`), straight from the depth-first search
-over W^K that carries ell(w), so a caller that writes each record as it
-arrives holds no more than one of them.
+The listings are generated as plain rows (`fixed_point_rows`,
+`fixed_point_rows_full_variety`): for each K in turn, the rows
+(w.images, R_K(w), dim_x, dim_xi) over W^K, straight from the depth-first
+search that carries ell(w), with R read off the references of
+`kernel.r_references`, computed once per K. No object is built per row,
+so a caller that formats K once per group and writes the rows in
+fixed-size chunks (as `quadrics cells` does) holds one chunk at a time.
+`iter_fixed_points` and `iter_fixed_points_full_variety` wrap the same
+rows into CellRecord objects.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
-from quadrics.kernel import cell_census, r_members
+from quadrics.kernel import cell_census, r_references
 from quadrics.parabolic import (
     NotSpecialError,
     SimpleSubset,
@@ -45,7 +50,7 @@ from quadrics.parabolic import (
     minimal_coset_rep_images,
     minimal_coset_reps,
 )
-from quadrics.qpoly import QPolynomial, monomial, q_integer, product_formula
+from quadrics.qpoly import QPolynomial, monomial, product_formula, q_factorial
 from quadrics.symmetric_group import Permutation, WeightVector, simple_root
 
 
@@ -209,17 +214,23 @@ def per_orbit_closed_form_check(k: SimpleSubset, i_set: SimpleSubset) -> bool:
     which clears denominators to
 
         addend * (1+q^2)^k * (1+q)^l == q^k * (1+q^2)^l * prod_i [i]_q.
+
+    The addend is the fixed-K census; the two cleared factors depend on
+    (n, k, l) only and are built once each.
     """
     addend = per_orbit_sum(k, i_set)
-    size_k = len(k)
-    size_l = len(i_set)
+    denominator, numerator = _closed_form_factors(k.n, len(k), len(i_set))
+    return addend * denominator == numerator
+
+
+@lru_cache(maxsize=None)
+def _closed_form_factors(n: int, size_k: int, size_l: int) -> tuple[QPolynomial, QPolynomial]:
+    """(1+q^2)^k * (1+q)^l and q^k * (1+q^2)^l * prod_{i<=n} [i]_q, the
+    cleared denominator and numerator of a K-addend with |K| = k, |I| = l."""
     one_plus_q2 = QPolynomial([1, 0, 1])
-    one_plus_q = QPolynomial([1, 1])
-    lhs = addend * one_plus_q2 ** size_k * one_plus_q ** size_l
-    rhs = monomial(size_k) * one_plus_q2 ** size_l
-    for i in range(1, k.n + 1):
-        rhs = rhs * q_integer(i)
-    return lhs == rhs
+    denominator = one_plus_q2 ** size_k * QPolynomial([1, 1]) ** size_l
+    numerator = monomial(size_k) * one_plus_q2 ** size_l * q_factorial(n)
+    return denominator, numerator
 
 
 def descent_characterization_check(k: SimpleSubset, i_set: SimpleSubset) -> bool:
@@ -248,33 +259,63 @@ def _r_and_descents(k: SimpleSubset) -> tuple[tuple[tuple[int, ...], tuple[int, 
     )
 
 
-def iter_fixed_points(i_set: SimpleSubset) -> Iterator[CellRecord]:
-    """One CellRecord per torus fixed point of the subvariety indexed by
-    special I, generated in canonical order: K by lexicographic subset
-    order, w by lexicographic one-line order. I is checked before the
-    first record."""
+# One fixed point as a plain row: (w.images, R_K(w), dim_x, dim_xi), with
+# dim_xi None when no target subvariety is involved.
+Row = tuple[tuple[int, ...], tuple[int, ...], int, Optional[int]]
+
+
+def fixed_point_rows(i_set: SimpleSubset) -> Iterator[tuple[SimpleSubset, Iterator[Row]]]:
+    """The torus fixed points of the subvariety indexed by special I as
+    plain rows, grouped by K: (K, rows over W^K) for each K contained in I
+    by lexicographic subset order, w by lexicographic one-line order. Each
+    K's rows are to be read before the next K is asked for. I is checked
+    before the first group."""
     _require_special(i_set)
-    return _records(i_set.subsets(), set(i_set.complement()))
+    return _rows(i_set.subsets(), frozenset(i_set.complement()))
+
+
+def fixed_point_rows_full_variety(n: int) -> Iterator[tuple[SimpleSubset, Iterator[Row]]]:
+    """The torus fixed points of the full rank-n variety as plain rows,
+    grouped by special K as in fixed_point_rows; dim_xi is None. n is
+    checked before the first group."""
+    if n < 1:
+        raise ValueError("rank must be at least 1")
+    return _rows(enumerate_special(n), None)
+
+
+def _rows(
+    ks: Iterable[SimpleSubset], outside: Optional[frozenset[int]]
+) -> Iterator[tuple[SimpleSubset, Iterator[Row]]]:
+    for k in ks:
+        yield k, _orbit_rows(k, outside)
+
+
+def _orbit_rows(k: SimpleSubset, outside: Optional[frozenset[int]]) -> Iterator[Row]:
+    """Rows over W^K: R by the local rule of `kernel`, ell(w) as carried by
+    the search, and dim_xi when the complement of I is given."""
+    references = r_references(k.n, k.members)
+    base = len(k)
+    for images, length in minimal_coset_rep_images(k):
+        r = tuple([i for i, p in references if images[i] < images[p]])
+        dim_x = length + base + len(r)
+        yield images, r, dim_x, None if outside is None else dim_x - len(outside.intersection(r))
+
+
+def iter_fixed_points(i_set: SimpleSubset) -> Iterator[CellRecord]:
+    """One CellRecord per row of fixed_point_rows(i_set), in its order. I
+    is checked before the first record."""
+    return _records(fixed_point_rows(i_set))
 
 
 def iter_fixed_points_full_variety(n: int) -> Iterator[CellRecord]:
-    """One CellRecord per torus fixed point of the full rank-n variety,
-    generated in canonical order; dim_xi stays unset since no target
-    subvariety is involved. n is checked before the first record."""
-    if n < 1:
-        raise ValueError("rank must be at least 1")
-    return _records(enumerate_special(n), None)
+    """One CellRecord per row of fixed_point_rows_full_variety(n), in its
+    order; dim_xi stays unset. n is checked before the first record."""
+    return _records(fixed_point_rows_full_variety(n))
 
 
-def _records(ks: Iterable[SimpleSubset], outside: Optional[set[int]]) -> Iterator[CellRecord]:
-    """Records over W^K for each K in turn: R by the local rule, ell(w) as
-    carried by the search, and dim_xi when the complement of I is given."""
-    for k in ks:
-        members, base = k.members, len(k)
-        for images, length in minimal_coset_rep_images(k):
-            r = r_members(members, images)
-            dim_x = length + base + len(r)
-            dim_xi = None if outside is None else dim_x - sum(1 for i in r if i in outside)
+def _records(groups) -> Iterator[CellRecord]:
+    for k, rows in groups:
+        for images, r, dim_x, dim_xi in rows:
             yield CellRecord(k, Permutation(images), r, dim_x, dim_xi)
 
 

@@ -24,19 +24,21 @@ import json
 import math
 import os
 import sys
+from functools import cache
+from itertools import islice
 
 from quadrics.cells import (
     NotMinimalRepError,
     SubsetViolationError,
     descent_characterization_check,
-    iter_fixed_points,
-    iter_fixed_points_full_variety,
+    fixed_point_rows,
+    fixed_point_rows_full_variety,
     per_orbit_closed_form_check,
     poincare_full_variety,
     poincare_sum,
     verify_km,
 )
-# Unused here, since cmd_cells streams through the iter_ forms and each
+# Unused here, since cmd_cells streams the plain rows and each
 # cell sum is one engine call; these names stay bound because the
 # benchmark tracer wraps them (and reads len() of the fixed_points lists).
 from quadrics.cells import (  # noqa: F401
@@ -66,6 +68,7 @@ from quadrics.qpoly import (
     is_palindromic,
     product_formula,
 )
+from quadrics.symmetric_group import one_line_separator
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -348,8 +351,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # --- cells ---------------------------------------------------------------------
 
-# The report is written record by record as the listing generates it, so
-# memory stays flat however many fixed points there are. Every input error
+# Records joined into each string handed to writelines; the header and the
+# closing line count as one each. One write per chunk instead of one per
+# record, while a chunk (about 60 kB of JSON at n = 7) stays small beside
+# the interpreter.
+CHUNK_RECORDS = 256
+
+
+# The report is formatted from the plain rows of the listing, each K's fields
+# once per K and each distinct R field once (R-sets are subsets of [n-1], so
+# a listing has few of them), and written a chunk at a time as the rows are
+# generated, so memory stays flat however many fixed points there are. Every input error
 # is raised before --out is opened and before the first byte is written.
 # The JSON fragments reproduce json.dumps(doc, indent=2) byte for byte.
 def cmd_cells(args: argparse.Namespace) -> int:
@@ -357,22 +369,30 @@ def cmd_cells(args: argparse.Namespace) -> int:
     _check_cap(n, args.max_n)
     subset = _parse_subset(args.subset, n) if args.subset is not None else None
     if subset is not None:
-        records = iter_fixed_points(subset)
+        groups = fixed_point_rows(subset)
     else:
-        records = iter_fixed_points_full_variety(n)
+        groups = fixed_point_rows_full_variety(n)
 
     if args.format == "json":
-        chunks = _cells_json(n, subset, records)
+        records = _cells_json(n, subset, groups)
     elif args.format == "csv":
-        chunks = _cells_csv(records)
+        records = _cells_csv(n, groups)
     else:
-        chunks = _cells_text(records)
+        records = _cells_text(n, groups)
+    chunks = _chunks(records)
     if args.out:
         with open(args.out, "w") as handle:
             handle.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
     return EXIT_OK
+
+
+def _chunks(records):
+    """The formatted records joined CHUNK_RECORDS at a time."""
+    records = iter(records)
+    while chunk := "".join(islice(records, CHUNK_RECORDS)):
+        yield chunk
 
 
 def _json_ints(values, indent: str) -> str:
@@ -384,40 +404,53 @@ def _json_ints(values, indent: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(map(str, values)) + "\n" + indent + "]"
 
 
-def _cells_json(n: int, subset, records):
+def _images_format(n: int, separator: str) -> str:
+    """A %-format taking a rank-n w.images tuple to its images joined by
+    separator."""
+    return separator.join(["%d"] * n)
+
+
+def _cells_json(n: int, subset, groups):
     subset_field = "null" if subset is None else _json_ints(subset.members, "  ")
+    w_format = _images_format(n, ",\n        ")
+    r_fields = cache(lambda r: _json_ints(r, "      "))
     yield f'{{\n  "n": {n},\n  "subset": {subset_field},\n  "records": ['
     separator = "\n"
-    for rec in records:
-        xi_field = "null" if rec.dim_xi is None else rec.dim_xi
-        yield (
-            f"{separator}    {{\n"
-            f'      "K": {_json_ints(rec.k.members, "      ")},\n'
-            f'      "w": {_json_ints(rec.w.images, "      ")},\n'
-            f'      "R": {_json_ints(rec.r, "      ")},\n'
-            f'      "dim_X": {rec.dim_x},\n'
-            f'      "dim_XI": {xi_field}\n'
-            "    }"
-        )
-        separator = ",\n"
+    for k, rows in groups:
+        head = f'    {{\n      "K": {_json_ints(k.members, "      ")},\n      "w": [\n        '
+        for images, r, dim_x, dim_xi in rows:
+            yield (
+                f"{separator}{head}{w_format % images}\n      ],\n"
+                f'      "R": {r_fields(r)},\n'
+                f'      "dim_X": {dim_x},\n'
+                f'      "dim_XI": {"null" if dim_xi is None else dim_xi}\n'
+                "    }"
+            )
+            separator = ",\n"
     yield "]\n}\n" if separator == "\n" else "\n  ]\n}\n"
 
 
-def _cells_csv(records):
+def _cells_csv(n: int, groups):
+    w_format = _images_format(n, one_line_separator(n))
+    r_fields = cache(lambda r: ";".join(map(str, r)))
     yield "K,w,R,dim_X,dim_XI\n"
-    for rec in records:
-        k_field = ";".join(str(i) for i in rec.k.members)
-        r_field = ";".join(str(i) for i in rec.r)
-        xi_field = "" if rec.dim_xi is None else str(rec.dim_xi)
-        yield f"{k_field},{rec.w},{r_field},{rec.dim_x},{xi_field}\n"
+    for k, rows in groups:
+        k_field = ";".join(map(str, k.members))
+        for images, r, dim_x, dim_xi in rows:
+            xi_field = "" if dim_xi is None else dim_xi
+            yield f"{k_field},{w_format % images},{r_fields(r)},{dim_x},{xi_field}\n"
 
 
-def _cells_text(records):
+def _cells_text(n: int, groups):
+    w_format = _images_format(n, one_line_separator(n))
+    r_fields = cache(_subset_str)
     count = 0
-    for rec in records:
-        count += 1
-        xi_part = "" if rec.dim_xi is None else f" dim_XI={rec.dim_xi}"
-        yield f"K={rec.k} w={rec.w} R={_subset_str(rec.r)} dim_X={rec.dim_x}{xi_part}\n"
+    for k, rows in groups:
+        head = f"K={k} w="
+        for images, r, dim_x, dim_xi in rows:
+            count += 1
+            xi_part = "" if dim_xi is None else f" dim_XI={dim_xi}"
+            yield f"{head}{w_format % images} R={r_fields(r)} dim_X={dim_x}{xi_part}\n"
     yield f"total: {count} fixed points\n"
 
 

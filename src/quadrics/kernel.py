@@ -8,7 +8,8 @@ leading sign after w acts is negative exactly when
     w(i+1) < w(i-1)  if i-1 is in K,
     w(i+1) < w(i)    otherwise.
 
-`r_members` applies this rule to one w, for the fixed-point listings.
+`r_references` lists the comparison each i outside K makes, once per K,
+for the fixed-point listings; `r_members` applies it to one w.
 For the census, w is built from left to right by relative rank, as in
 the inversion table behind sum_w q^ell(w) = [n]_q!: the entry at
 position p, placed with rank r among the first p entries, adds p-1-r
@@ -44,7 +45,7 @@ def _validate(n: int, forced: int, allowed: int, target: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _r_references(n: int, k_members: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+def r_references(n: int, k_members: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """(i, p) for each i outside K, where w(i+1) is compared with the
     one-line entry images[p]: p = i-2 (w(i-1)) if i-1 is in K, else i-1
     (w(i))."""
@@ -59,7 +60,7 @@ def r_members(k_members: tuple[int, ...], images: tuple[int, ...]) -> tuple[int,
     one-line images. Inputs are not validated; `cells.r_set` is the
     weight-vector definition this rule is tested against."""
     return tuple(
-        i for i, p in _r_references(len(images), k_members) if images[i] < images[p]
+        i for i, p in r_references(len(images), k_members) if images[i] < images[p]
     )
 
 

@@ -109,18 +109,32 @@ class SimpleSubset:
         return "{" + ",".join(str(i) for i in self.members) + "}"
 
 
-def _lex_subsets(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _lex_chains(items: tuple[int, ...], gap: int) -> Iterator[tuple[int, ...]]:
+    """Every subsequence of items whose chosen positions lie at least gap
+    apart, the empty one first, in lexicographic order. The chosen
+    positions are kept on an explicit stack, so no length overflows the
+    interpreter's recursion limit."""
     yield ()
-    for idx, x in enumerate(items):
-        for rest in _lex_subsets(items[idx + 1 :]):
-            yield (x,) + rest
+    stack: list[int] = []
+    following = 0  # the smallest position that may be chosen next
+    while True:
+        if following < len(items):
+            stack.append(following)
+            yield tuple(map(items.__getitem__, stack))
+            following += gap
+        elif stack:
+            following = stack.pop() + 1
+        else:
+            return
+
+
+def _lex_subsets(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    return _lex_chains(items, 1)
 
 
 def _special_members(start: int, n: int) -> Iterator[tuple[int, ...]]:
-    yield ()
-    for i in range(start, n):
-        for rest in _special_members(i + 2, n):
-            yield (i,) + rest
+    """The special subsets of {start, ..., n-1}, in lexicographic order."""
+    return _lex_chains(tuple(range(start, n)), 2)
 
 
 def enumerate_special(n: int) -> list[SimpleSubset]:

@@ -104,9 +104,13 @@ class Permutation:
         return f"Permutation({self.images!r})"
 
     def __str__(self) -> str:
-        if self.n <= 9:
-            return "".join(str(i) for i in self.images)
-        return "-".join(str(i) for i in self.images)
+        return one_line_separator(self.n).join(str(i) for i in self.images)
+
+
+def one_line_separator(n: int) -> str:
+    """What str(Permutation) puts between the one-line images at rank n:
+    nothing while every image is one digit, else a hyphen."""
+    return "" if n <= 9 else "-"
 
 
 def identity(n: int) -> Permutation:

@@ -10,6 +10,8 @@ from quadrics.cells import (
     betti,
     cell_dim_in_subvariety,
     descent_characterization_check,
+    fixed_point_rows,
+    fixed_point_rows_full_variety,
     fixed_points,
     fixed_points_full_variety,
     iter_fixed_points,
@@ -30,7 +32,7 @@ from quadrics.parabolic import (
     enumerate_special,
     minimal_coset_reps,
 )
-from quadrics.qpoly import QPolynomial, is_palindromic, q_integer, product_formula
+from quadrics.qpoly import QPolynomial, is_palindromic, monomial, q_integer, product_formula
 from quadrics.symmetric_group import Permutation, identity
 
 
@@ -214,6 +216,33 @@ def test_per_orbit_closed_form_check():
                 assert per_orbit_closed_form_check(k, i_set)
 
 
+def test_closed_form_factors_are_built_once_per_size(monkeypatch):
+    pairs = [(k, i_set) for i_set in enumerate_special(7) for k in i_set.subsets()]
+    sizes = {(len(k), len(i_set)) for k, i_set in pairs}
+    cells._closed_form_factors.cache_clear()
+    products = []
+    multiply = QPolynomial.__mul__
+    monkeypatch.setattr(
+        QPolynomial, "__mul__", lambda a, b: products.append(1) or multiply(a, b)
+    )
+    assert all(per_orbit_closed_form_check(k, i_set) for k, i_set in pairs)
+    assert cells._closed_form_factors.cache_info().misses == len(sizes)
+    # with the factors built, each pair costs one product: addend * denominator
+    products.clear()
+    assert all(per_orbit_closed_form_check(k, i_set) for k, i_set in pairs)
+    assert len(products) == len(pairs)
+
+
+def test_closed_form_check_fails_on_a_wrong_addend(monkeypatch):
+    census_side = per_orbit_sum
+    monkeypatch.setattr(
+        cells, "per_orbit_sum", lambda k, i_set: census_side(k, i_set) + monomial(0)
+    )
+    for i_set in enumerate_special(5):
+        for k in i_set.subsets():
+            assert not per_orbit_closed_form_check(k, i_set), (k, i_set)
+
+
 def test_descent_characterization_check():
     for n in range(2, 7):
         for i_set in enumerate_special(n):
@@ -285,6 +314,24 @@ def test_listings_match_r_set_records():
         assert fixed_points_full_variety(n) == expected, n
 
 
+def test_rows_are_grouped_by_k_in_listing_order():
+    for n in range(1, 7):
+        for i_set in [None, *enumerate_special(n)]:
+            if i_set is None:
+                groups, records = fixed_point_rows_full_variety(n), fixed_points_full_variety(n)
+                ks = enumerate_special(n)
+            else:
+                groups, records = fixed_point_rows(i_set), fixed_points(i_set)
+                ks = list(i_set.subsets())
+            rows = []
+            for position, (k, group) in enumerate(groups):
+                assert k == ks[position]
+                rows += [(k, *row) for row in group]
+            assert rows == [
+                (rec.k, rec.w.images, rec.r, rec.dim_x, rec.dim_xi) for rec in records
+            ]
+
+
 def test_fixed_points_listing():
     records = fixed_points(SimpleSubset(3, (1,)))
     assert len(records) == 9
@@ -327,6 +374,10 @@ def test_listing_generators_check_input_before_the_first_record():
         iter_fixed_points(SimpleSubset(4, (1, 2)))
     with pytest.raises(ValueError):
         iter_fixed_points_full_variety(0)
+    with pytest.raises(NotSpecialError):
+        fixed_point_rows(SimpleSubset(4, (1, 2)))
+    with pytest.raises(ValueError):
+        fixed_point_rows_full_variety(0)
     with pytest.raises(NotSpecialError):
         fixed_points(SimpleSubset(4, (2, 3)))
 

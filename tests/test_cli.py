@@ -1,11 +1,16 @@
+import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
+
+import quadrics.cli as cli
 
 from quadrics.cells import (
     fixed_points,
@@ -16,6 +21,9 @@ from quadrics.cells import (
 from quadrics.cli import ALL_CHECKS, main
 from quadrics.parabolic import SimpleSubset, enumerate_special, special_count
 from quadrics.qpoly import QPolynomial, product_formula
+
+# stdout digests of the benchmark's unseeded commands
+DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
 
 
 def run_main(capsys, *argv):
@@ -224,8 +232,9 @@ def cells_report_oracle(n, subset, fmt):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-def test_streamed_cells_report_matches_list_formatter(fmt, tmp_path, capsys):
+def assert_cells_reports_match_oracle(fmt, tmp_path, capsys):
+    """stdout and --out of every `cells` listing with n <= 6, the full
+    variety and every special I, against cells_report_oracle."""
     for n in range(1, 7):
         for subset in [None, *enumerate_special(n)]:
             argv = ["cells", "--n", str(n), "--format", fmt]
@@ -236,6 +245,30 @@ def test_streamed_cells_report_matches_list_formatter(fmt, tmp_path, capsys):
             target = tmp_path / "report"
             assert run_main(capsys, *argv, "--out", str(target)) == (0, ""), argv
             assert target.read_text() == expected, argv
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_streamed_cells_report_matches_list_formatter(fmt, tmp_path, capsys):
+    assert_cells_reports_match_oracle(fmt, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_cells_report_across_chunk_boundaries(chunk, fmt, tmp_path, capsys, monkeypatch):
+    # one record per write, and chunks that end inside a K, across K
+    # boundaries and with the header or the closing line
+    monkeypatch.setattr(cli, "CHUNK_RECORDS", chunk)
+    assert_cells_reports_match_oracle(fmt, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cells_n7_matches_the_benchmark_digest(fmt):
+    digests = json.loads(DIGESTS.read_text())
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        assert main(["cells", "--n", "7", "--format", fmt]) == 0
+    digest = hashlib.sha256(sink.getvalue().encode()).hexdigest()
+    assert digest == digests[f"cells --n 7 --format {fmt}"]
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
@@ -287,6 +320,23 @@ def test_streamed_cells_json_holds_no_listing(monkeypatch):
     assert code == 0
     assert sink.tail.endswith('"dim_XI": null\n    }\n  ]\n}\n')
     assert sink.chars > 35280 * 100
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_streamed_cells_csv_and_text_hold_no_listing(fmt, monkeypatch):
+    tail = {"csv": "6,7654312,1;2;3;4;5,26,\n", "text": "total: 35280 fixed points\n"}[fmt]
+    sink = CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["cells", "--n", "7", "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.tail.endswith(tail)
+    assert sink.chars > 35280 * 15
     assert peak < 2_000_000
 
 

@@ -8,6 +8,7 @@ import pytest
 from quadrics.parabolic import (
     NotSpecialError,
     SimpleSubset,
+    _special_members,
     enumerate_special,
     is_minimal_rep,
     longest_element,
@@ -101,6 +102,27 @@ def test_subsets_iterates_in_lex_order():
         (5,),
     ]
     assert listed == sorted(listed)
+    members = (1, 3, 5, 7, 9, 11)
+    listed = [k.members for k in SimpleSubset(12, members).subsets()]
+    assert listed == sorted(
+        chosen for size in range(7) for chosen in itertools.combinations(members, size)
+    )
+
+
+def test_long_subset_listings_do_not_recurse():
+    # 1,500 members deep; the recursive generators overflowed the stack
+    # near the 1,000th member
+    odd = tuple(range(1, 3000, 2))
+    chains = [odd[:size] for size in range(len(odd) + 1)]
+    for listing in (
+        _special_members(1, 3001),
+        (k.members for k in SimpleSubset(3001, odd).subsets()),
+    ):
+        items = list(itertools.islice(listing, 2000))
+        assert len(items) == len(set(items)) == 2000
+        assert items[: len(chains)] == chains
+        assert items == sorted(items)
+        assert all(b - a >= 2 for members in items for a, b in zip(members, members[1:]))
 
 
 def test_longest_element():
