@@ -36,9 +36,8 @@ rows into CellRecord objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from quadrics.kernel import cell_census, r_references
 from quadrics.parabolic import (
@@ -63,8 +62,7 @@ class SubsetViolationError(ValueError):
     """Raised when an operation needs K contained in I and it is not."""
 
 
-@dataclass(frozen=True)
-class CellRecord:
+class CellRecord(NamedTuple):
     """One torus fixed point (K, w) with its attracting-cell data.
 
     dim_xi is filled when a target subvariety I containing K was supplied.

@@ -15,46 +15,29 @@ input (including a bad $QUADRICS_FORMAT or an unwritable --out), 3 the
 S_n-enumeration cap was exceeded (raise it with --max-n).
 Every command runs in one process. --jobs is accepted for compatibility
 and ignored, so the same invocation produces the same bytes for any value.
+
+A command imports only the layers it runs. `parabolic` (with
+`symmetric_group` under it) is imported here, since every command uses it,
+directly or through `nilfix`; `cells`, `qpoly` and `nilfix` are imported by _load in
+the commands and checks that run them (CHECK_LAYERS for verify), and `json`
+by the JSON reports alone. The binding rule: each name cli calls from those
+three layers (_LAYERS) is a module global of cli, bound when a command
+first loads its layer and never rebound, so a name set on this module
+before a command runs (a test's monkeypatch, the benchmark tracer's
+wrapper) is the one called; a lookup from outside binds the layer through
+the module __getattr__.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from functools import cache
+from importlib import import_module
 from itertools import islice
 
-from quadrics.cells import (
-    NotMinimalRepError,
-    SubsetViolationError,
-    descent_characterization_check,
-    fixed_point_rows,
-    fixed_point_rows_full_variety,
-    per_orbit_closed_form_check,
-    poincare_full_variety,
-    poincare_sum,
-    verify_km,
-)
-# Unused here, since cmd_cells streams the plain rows and each
-# cell sum is one engine call; these names stay bound because the
-# benchmark tracer wraps them (and reads len() of the fixed_points lists).
-from quadrics.cells import (  # noqa: F401
-    fixed_points,
-    fixed_points_full_variety,
-    full_variety_orbit_sum,
-    per_orbit_sum,
-)
-from quadrics.nilfix import (
-    fixed_quadric_space,
-    fixed_system_rows,
-    infinitesimal_fixed_condition,
-    regular_nilpotent,
-    regularity_classifier,
-    row_echelon_rank,
-)
 from quadrics.parabolic import (
     NotSpecialError,
     SimpleSubset,
@@ -62,29 +45,77 @@ from quadrics.parabolic import (
     minimal_coset_rep_count,
     special_count,
 )
-from quadrics.qpoly import (
-    InexactDivisionError,
-    height_identity_check,
-    is_palindromic,
-    product_formula,
-)
 from quadrics.symmetric_group import one_line_separator
+
+# The names cli binds from each lazily imported layer (see the binding rule
+# above).
+_LAYERS = {
+    "quadrics.cells": (
+        "descent_characterization_check",
+        "fixed_point_rows",
+        "fixed_point_rows_full_variety",
+        "per_orbit_closed_form_check",
+        "poincare_full_variety",
+        "poincare_sum",
+        "verify_km",
+        # not called by cli, since cmd_cells streams the plain rows and
+        # each cell sum is one engine call; the benchmark tracer wraps them
+        "fixed_points",
+        "fixed_points_full_variety",
+        "full_variety_orbit_sum",
+        "per_orbit_sum",
+    ),
+    "quadrics.nilfix": (
+        "fixed_quadric_space",
+        "fixed_system_rows",
+        "infinitesimal_fixed_condition",
+        "regular_nilpotent",
+        "regularity_classifier",
+        "row_echelon_rank",
+    ),
+    "quadrics.qpoly": (
+        "height_identity_check",
+        "is_palindromic",
+        "product_formula",
+    ),
+}
+
+
+def _load(*modules: str) -> None:
+    """Import each layer and bind the names cli calls from it, keeping a
+    binding already there (e.g. one a test or the tracer put in place)."""
+    namespace = globals()
+    for module in modules:
+        layer = import_module(module)
+        for name in _LAYERS[module]:
+            namespace.setdefault(name, getattr(layer, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAYERS.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_CAP = 3
 
-ALL_CHECKS = (
-    "km",
-    "descent",
-    "closed-form",
-    "duality",
-    "euler",
-    "height",
-    "regularity",
-    "fixed-quadrics",
-)
+# each check with the layers it runs
+CHECK_LAYERS = {
+    "km": ("quadrics.cells",),
+    "descent": ("quadrics.cells",),
+    "closed-form": ("quadrics.cells",),
+    "duality": ("quadrics.cells", "quadrics.qpoly"),
+    "euler": ("quadrics.cells", "quadrics.qpoly"),
+    "height": ("quadrics.qpoly",),
+    "regularity": ("quadrics.nilfix",),
+    "fixed-quadrics": ("quadrics.nilfix",),
+}
+ALL_CHECKS = tuple(CHECK_LAYERS)
 # checks that respect the --max-n cap. Only descent walks W^K (all of S_n at
 # K = {}); km, closed-form, duality and euler take time polynomial in n per
 # subset, and share the cap until each command gets a cap for its own cost
@@ -139,6 +170,12 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _emit_json(args: argparse.Namespace, doc) -> None:
+    import json  # imported by the JSON reports alone
+
+    _emit(args, json.dumps(doc, indent=2))
+
+
 # The one map over a command's tasks; jobs is unused but stays positional
 # because the benchmark tracer wraps this function and reads it.
 def _pmap(fn, items, jobs: int) -> list:
@@ -163,6 +200,9 @@ def cmd_poincare(args: argparse.Namespace) -> int:
         raise NotSpecialError(f"{subset} contains consecutive members")
     if method in ("cells", "both"):
         _check_cap(n, args.max_n)
+        _load("quadrics.cells")
+    if method in ("product", "both"):
+        _load("quadrics.qpoly")
 
     product = product_formula(subset) if method in ("product", "both") else None
     if method == "product":
@@ -189,7 +229,7 @@ def cmd_poincare(args: argparse.Namespace) -> int:
             "euler": str(shown.evaluate_at_one()),
             "verdict": verdict,
         }
-        _emit(args, json.dumps(doc, indent=2))
+        _emit_json(args, doc)
     elif args.format == "csv":
         subset_field = ";".join(str(i) for i in subset.members) if subset is not None else "full"
         lines = [
@@ -317,6 +357,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     subset = _parse_subset(args.subset, n) if args.subset is not None else None
 
     items = _verify_items(n, checks, subset)
+    for check in checks:
+        _load(*CHECK_LAYERS[check])
     results = _pmap(_verify_one, [item[:3] for item in items], args.jobs)
     passed = sum(1 for ok in results if ok)
     failed = len(results) - passed
@@ -333,7 +375,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "failed": failed,
             "verdict": "ok" if failed == 0 else "fail",
         }
-        _emit(args, json.dumps(doc, indent=2))
+        _emit_json(args, doc)
     elif args.format == "csv":
         lines = ["check,label,ok"]
         for item, ok in zip(items, results):
@@ -367,6 +409,7 @@ CHUNK_RECORDS = 256
 def cmd_cells(args: argparse.Namespace) -> int:
     n = args.n
     _check_cap(n, args.max_n)
+    _load("quadrics.cells")
     subset = _parse_subset(args.subset, n) if args.subset is not None else None
     if subset is not None:
         groups = fixed_point_rows(subset)
@@ -465,7 +508,7 @@ def cmd_special(args: argparse.Namespace) -> int:
         if hasattr(sys, "set_int_max_str_digits"):
             sys.set_int_max_str_digits(0)
         if args.format == "json":
-            _emit(args, json.dumps({"n": n, "count": count}, indent=2))
+            _emit_json(args, {"n": n, "count": count})
         elif args.format == "csv":
             _emit(args, f"count\n{count}")
         else:
@@ -478,7 +521,7 @@ def cmd_special(args: argparse.Namespace) -> int:
             "count": len(subsets),
             "subsets": [list(s.members) for s in subsets],
         }
-        _emit(args, json.dumps(doc, indent=2))
+        _emit_json(args, doc)
     elif args.format == "csv":
         lines = ["I"] + [";".join(str(i) for i in s.members) for s in subsets]
         _emit(args, "\n".join(lines))
@@ -493,6 +536,7 @@ def cmd_fixed_quadrics(args: argparse.Namespace) -> int:
     m = args.block
     if m < 1:
         raise ValueError("block size must be at least 1")
+    _load("quadrics.nilfix")
     space = fixed_quadric_space(m)
     if args.format == "json":
         doc = {
@@ -503,7 +547,7 @@ def cmd_fixed_quadrics(args: argparse.Namespace) -> int:
                 [[str(x) for x in row] for row in mat.entries] for mat in space.basis
             ],
         }
-        _emit(args, json.dumps(doc, indent=2))
+        _emit_json(args, doc)
     elif args.format == "csv":
         lines = [
             "block,dimension,nondegenerate",
@@ -590,6 +634,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _loaded_arithmetic_errors() -> tuple[type[Exception], ...]:
+    """InexactDivisionError when qpoly, the one layer that raises it, has
+    been imported; main evaluates this only when an exception reaches it,
+    so a command that never loaded qpoly does not load it to report one."""
+    qpoly = sys.modules.get("quadrics.qpoly")
+    return (qpoly.InexactDivisionError,) if qpoly is not None else ()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -599,14 +651,9 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (
-        NotSpecialError,
-        SubsetViolationError,
-        NotMinimalRepError,
-        InexactDivisionError,
-        ValueError,
-        OSError,  # e.g. an unwritable --out: bad input, not a failed check
-    ) as exc:
+    # ValueError covers the package's own input errors; OSError is e.g. an
+    # unwritable --out: bad input, not a failed check
+    except (ValueError, OSError, *_loaded_arithmetic_errors()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -20,10 +20,9 @@ orientation and a sanity test.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from quadrics.parabolic import NotSpecialError, SimpleSubset
 
@@ -215,8 +214,7 @@ def nullspace_basis(rows: Sequence[Sequence[object]], ncols: int) -> list[tuple[
 
 # --- fixed quadric families ------------------------------------------------
 
-@dataclass(frozen=True)
-class FixedQuadricSpace:
+class FixedQuadricSpace(NamedTuple):
     """Solution space of e^T A + A e = 0 over symmetric m-by-m matrices.
 
     has_nondegenerate records whether the family contains a matrix with
@@ -429,8 +427,7 @@ def block_sizes(n: int, members: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-@dataclass(frozen=True)
-class RegularityWitness:
+class RegularityWitness(NamedTuple):
     """An orbit K and a block of its fixed flag carrying unipotent-fixed
     nondegenerate quadrics beyond the base point."""
 
@@ -440,8 +437,7 @@ class RegularityWitness:
     family: FixedQuadricSpace
 
 
-@dataclass(frozen=True)
-class RegularityResult:
+class RegularityResult(NamedTuple):
     regular: bool
     witness: Optional[RegularityWitness] = None
 

@@ -413,3 +413,12 @@ def test_rank_four_addends_factor_as_expected():
     # the two singleton subvarieties in the middle of the diagram agree
     assert poincare_sum(SimpleSubset(4, (2,))) == product_formula(i1)
     assert poincare_sum(SimpleSubset(4, (3,))) == product_formula(i1)
+
+
+def test_cell_record_is_an_immutable_named_tuple():
+    assert CellRecord._fields == ("k", "w", "r", "dim_x", "dim_xi")
+    record = fixed_points_full_variety(2)[0]
+    k, w, r, dim_x, dim_xi = record
+    assert record == CellRecord(k, w, r, dim_x) and dim_xi is None
+    with pytest.raises(AttributeError):
+        record.dim_x = 0

@@ -509,3 +509,91 @@ def test_verify_failure_exit_code_is_one(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("special", "--n", "0"),
+        ("fixed-quadrics", "--block", "0"),
+        ("cells", "--n", "3", "--subset", "1,2"),
+        ("poincare", "--n", "4", "--subset", "1,2", "--method", "product"),
+        ("verify", "--n", "3", "--checks", "nope"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_invalid_input_exits_two_in_a_fresh_process(argv):
+    # each command reports bad input before, or without, loading the layers
+    # that other commands run
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_inexact_division_is_invalid_input(monkeypatch, capsys):
+    from quadrics.qpoly import InexactDivisionError
+
+    def inexact(subset):
+        raise InexactDivisionError("remainder 1")
+
+    monkeypatch.setattr(cli, "product_formula", inexact)
+    code = main(["poincare", "--n", "3", "--subset", "1", "--method", "product"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: remainder 1\n"
+
+
+# A name the benchmark tracer wraps on cli, with a small command calling it.
+TRACED_NAMES = {
+    "poincare_sum": ("poincare", "--n", "3", "--subset", "1"),
+    "product_formula": ("poincare", "--n", "3", "--subset", "1", "--method", "product"),
+    "descent_characterization_check": ("verify", "--n", "3", "--checks", "descent"),
+    "minimal_coset_rep_count": ("verify", "--n", "3", "--checks", "euler"),
+    "height_identity_check": ("verify", "--n", "3", "--checks", "height"),
+    "row_echelon_rank": ("verify", "--n", "2", "--checks", "fixed-quadrics"),
+    "fixed_quadric_space": ("fixed-quadrics", "--block", "2"),
+    "regularity_classifier": ("verify", "--n", "3", "--checks", "regularity"),
+}
+
+
+def forget_lazy_bindings(monkeypatch):
+    """Unbind every layer name cli binds on first use, as in a fresh process."""
+    for names in cli._LAYERS.values():
+        for name in names:
+            monkeypatch.delitem(vars(cli), name, raising=False)
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_NAMES))
+def test_a_name_set_on_cli_is_the_one_called(name, monkeypatch, capsys):
+    argv = TRACED_NAMES[name]
+    expected = run_main(capsys, *argv)
+    forget_lazy_bindings(monkeypatch)
+    original = getattr(cli, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    assert run_main(capsys, *argv) == expected
+    assert calls
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["per_orbit_sum", "full_variety_orbit_sum", "fixed_points", "fixed_points_full_variety"],
+)
+def test_tracer_only_names_resolve_on_cli(name, monkeypatch):
+    import quadrics.cells as cells
+
+    forget_lazy_bindings(monkeypatch)
+    assert getattr(cli, name) is getattr(cells, name)
+
+
+def test_unknown_cli_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name

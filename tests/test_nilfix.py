@@ -365,3 +365,16 @@ def test_classifier_does_not_list_subsets(monkeypatch):
 def test_fixed_quadric_space_is_cached_value_object():
     assert fixed_quadric_space(3) is fixed_quadric_space(3)
     assert isinstance(fixed_quadric_space(4), FixedQuadricSpace)
+
+
+def test_result_classes_are_immutable_named_tuples():
+    assert FixedQuadricSpace._fields == ("block_size", "basis", "has_nondegenerate")
+    assert RegularityWitness._fields == ("k", "block_start", "block_size", "family")
+    assert RegularityResult._fields == ("regular", "witness")
+    assert RegularityResult(True) == (True, None)
+    regular, witness = regularity_classifier(SimpleSubset(4, (1, 2)))
+    assert not regular
+    assert witness.family.dimension == len(witness.family.basis)
+    for obj, field in ((witness.family, "basis"), (witness, "k")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
