@@ -41,6 +41,7 @@ from itertools import islice
 from quadrics.parabolic import (
     NotSpecialError,
     SimpleSubset,
+    _lex_subsets,
     enumerate_special,
     minimal_coset_rep_count,
     special_count,
@@ -323,8 +324,7 @@ def _verify_items(n: int, checks, subset) -> list[tuple[str, int, object, str]]:
             if subset is not None:
                 universe = [subset.members]
             else:
-                everything = SimpleSubset(n, range(1, n))
-                universe = [s.members for s in everything.subsets()]
+                universe = _lex_subsets(tuple(range(1, n)))
             for members in universe:
                 items.append((check, n, members, f"I={_subset_str(members)}"))
         else:

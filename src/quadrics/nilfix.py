@@ -20,9 +20,10 @@ orientation and a sanity test.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from quadrics.parabolic import NotSpecialError, SimpleSubset
 
@@ -36,13 +37,21 @@ class PrimeTooSmallError(ValueError):
     unipotent-fixedness and e-stability can diverge."""
 
 
+def _plain(x: Fraction):
+    """x as an int when it is integral, else x itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class RationalMatrix:
     """Dense matrix with exact Fraction entries."""
 
     __slots__ = ("entries",)
 
     def __init__(self, rows: Iterable[Iterable[object]]):
-        entries = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        # a Fraction is immutable, so one given is kept as it is
+        entries = tuple(
+            tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows
+        )
         if not entries or not entries[0]:
             raise ValueError("matrix needs at least one row and column")
         width = len(entries[0])
@@ -78,8 +87,9 @@ class RationalMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("size mismatch")
+        # a zero summand is skipped, not added
         return RationalMatrix(
-            [a + b for a, b in zip(r1, r2)]
+            [(a + b if a else b) if b else a for a, b in zip(r1, r2)]
             for r1, r2 in zip(self.entries, other.entries)
         )
 
@@ -91,11 +101,21 @@ class RationalMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("size mismatch")
-        cols = other.transpose().entries
-        return RationalMatrix(
-            [sum(a * b for a, b in zip(row, col)) for col in cols]
-            for row in self.entries
-        )
+        # only the non-zero entries of either factor are multiplied, and
+        # integral ones as ints
+        right = [
+            [(c, _plain(b)) for c, b in enumerate(row) if b] for row in other.entries
+        ]
+        product = []
+        for row in self.entries:
+            acc = [0] * other.cols
+            for k, a in enumerate(row):
+                if a:
+                    a = _plain(a)
+                    for c, b in right[k]:
+                        acc[c] += a * b
+            product.append(acc)
+        return RationalMatrix(product)
 
     def scale(self, c: object) -> RationalMatrix:
         c = Fraction(c)
@@ -105,7 +125,7 @@ class RationalMatrix:
         return all(x == 0 for row in self.entries for x in row)
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and self.entries == self.transpose().entries
+        return self.rows == self.cols and self.entries == tuple(zip(*self.entries))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RationalMatrix) and self.entries == other.entries
@@ -156,7 +176,12 @@ def infinitesimal_fixed_condition(e: RationalMatrix, a: RationalMatrix) -> Ratio
 
 def row_echelon_rank(rows: Sequence[Sequence[object]], column_order: Optional[Sequence[int]] = None) -> int:
     """Rank over the rationals by Gaussian elimination, visiting columns in
-    the given order (tests use a reversed order as an independent route)."""
+    the given order (the fixed-quadrics check also runs the reversed order,
+    as an independent route). Rows of ints are eliminated fraction-free on
+    sparse rows; any other entry, a Fraction included, takes the rational
+    path."""
+    if all(set(map(type, row)) <= {int} for row in rows):
+        return _integer_rank(rows, column_order)
     work = [[Fraction(x) for x in row] for row in rows]
     if not work:
         return 0
@@ -178,10 +203,66 @@ def row_echelon_rank(rows: Sequence[Sequence[object]], column_order: Optional[Se
     return rank
 
 
+def _integer_rank(rows: Sequence[Sequence[int]], column_order: Optional[Sequence[int]]) -> int:
+    """Rank of an integer matrix by fraction-free forward elimination.
+
+    Each row is kept as its non-zero entries, and each column knows the
+    rows that are non-zero there, so a pivot step updates only the rows
+    holding the pivot column, each over the pivot row's support. A pivot of
+    absolute value 1 is preferred; when the pivot p does not divide a row's
+    entry a, that row becomes p * row - a * pivot row, still in integers.
+    """
+    if not rows:
+        return 0
+    live: dict[int, dict[int, int]] = {}
+    holders: defaultdict[int, set[int]] = defaultdict(set)
+    for r, row in enumerate(rows):
+        terms = dict(itertools.compress(enumerate(row), row))
+        if terms:
+            live[r] = terms
+            for c in terms:
+                holders[c].add(r)
+    order = range(len(rows[0])) if column_order is None else column_order
+    rank = 0
+    for col in order:
+        ids = holders.pop(col, None)
+        if not ids:
+            continue
+        top = min(ids, key=lambda r: (abs(live[r][col]) != 1, r))
+        pivot = live.pop(top)
+        p = pivot.pop(col)
+        for c in pivot:
+            holders[c].discard(top)
+        rank += 1
+        for r in ids:
+            if r == top:
+                continue
+            row = live[r]
+            a = row.pop(col)
+            f, rest = divmod(a, p)
+            if rest:
+                for c in row:
+                    row[c] *= p
+                f = a
+            for c, x in pivot.items():
+                value = row.get(c, 0) - f * x
+                if value:
+                    if c not in row:
+                        holders[c].add(r)
+                    row[c] = value
+                elif c in row:
+                    del row[c]
+                    holders[c].discard(r)
+            if not row:
+                del live[r]
+    return rank
+
+
 def nullspace_basis(rows: Sequence[Sequence[object]], ncols: int) -> list[tuple[Fraction, ...]]:
     """Canonical basis of the solution space of the homogeneous system, one
     vector per free column of the reduced row echelon form, each scaled so
-    its first non-zero coordinate is positive."""
+    its first non-zero coordinate is positive. Dense Gauss-Jordan over
+    Fractions; the test oracle of anti_diagonal_basis."""
     work = [[Fraction(x) for x in row] for row in rows]
     pivots: list[int] = []
     rank = 0
@@ -235,26 +316,110 @@ def _sym_pairs(m: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(m) for j in range(i, m)]
 
 
-def fixed_system_rows(m: int) -> list[list[int]]:
-    """Rows of the linear system e^T A + A e = 0 in the upper-triangle
-    coordinates of a symmetric m-by-m matrix A.
+def _fixed_system_terms(m: int) -> Iterator[dict[int, int]]:
+    """The equations of e^T A + A e = 0 with i <= j, each as its non-zero
+    terms {column: coefficient} in the upper-triangle coordinates of a
+    symmetric m-by-m matrix A.
 
     (e^T A + A e)[i][j] = A[i-1][j] + A[i][j-1] with out-of-range entries
     zero; the result is symmetric, so only the equations with i <= j are
-    emitted.
+    emitted. Both terms lie on the anti-diagonal i + j - 1; on the diagonal
+    (i = j) they are one entry, with coefficient 2.
     """
     pairs = _sym_pairs(m)
     index = {pair: t for t, pair in enumerate(pairs)}
-    rows = []
     for (i, j) in pairs:
-        coeff = [0] * len(pairs)
+        terms: dict[int, int] = {}
         for (a, b) in ((i - 1, j), (i, j - 1)):
             if a >= 0 and b >= 0:
-                key = (a, b) if a <= b else (b, a)
-                coeff[index[key]] += 1
-        if any(coeff):
-            rows.append(coeff)
+                t = index[(a, b) if a <= b else (b, a)]
+                terms[t] = terms.get(t, 0) + 1
+        if terms:
+            yield terms
+
+
+def fixed_system_rows(m: int) -> list[list[int]]:
+    """Dense rows of the linear system e^T A + A e = 0 in the upper-triangle
+    coordinates of a symmetric m-by-m matrix A, one per equation of
+    _fixed_system_terms."""
+    ncols = m * (m + 1) // 2
+    rows = []
+    for terms in _fixed_system_terms(m):
+        row = [0] * ncols
+        for t, x in terms.items():
+            row[t] = x
+        rows.append(row)
     return rows
+
+
+def anti_diagonal_basis(m: int) -> list[tuple[Fraction, ...]]:
+    """The basis nullspace_basis(fixed_system_rows(m), m(m+1)/2) returns,
+    the same vectors in the same order with the same signs, solved one
+    anti-diagonal at a time in O(m^2) instead of by dense elimination.
+
+    Each equation involves one anti-diagonal s = i + j only, so the system
+    splits into one small system per s, on at most ceil(m/2) unknowns. Its
+    equations are links c x + c' x' = 0 between neighbouring unknowns (in
+    column order) and pins c x = 0 on one unknown. A chain of k unknowns
+    has k - 1 links, which make every unknown a fixed non-zero multiple of
+    the last. So the reduced row echelon form pivots on the first k - 1
+    columns, and the last column is free: the dense solve's vector sets it
+    to 1, then flips the sign so the first coordinate is positive. A pin
+    forces the whole chain to zero. (The row-0 equation A[0][s] = 0 pins
+    each s < m - 1, and the diagonal equation 2 A[(s-1)/2][(s+1)/2] = 0
+    each odd s; each even s >= m - 1 gives one vector of alternating signs.)
+    The last column of s, A[s//2][s - s//2], comes later in column order as
+    s grows, so the vectors come out ordered by free column, as the dense
+    solve lists them.
+    """
+    pairs = _sym_pairs(m)
+    chains: list[list[int]] = [[] for _ in range(2 * m - 1)]
+    for t, (i, j) in enumerate(pairs):
+        chains[i + j].append(t)
+    equations: list[list[dict[int, int]]] = [[] for _ in chains]
+    for terms in _fixed_system_terms(m):
+        i, j = pairs[next(iter(terms))]
+        equations[i + j].append(terms)
+    zero = Fraction(0)
+    basis = []
+    for chain, eqs in zip(chains, equations):
+        values = _chain_null_vector(chain, eqs)
+        if values is not None:
+            vec = [zero] * len(pairs)
+            for t, x in zip(chain, values):
+                vec[t] = x
+            basis.append(tuple(vec))
+    return basis
+
+
+def _chain_null_vector(chain: list[int], equations: list[dict[int, int]]) -> Optional[list[Fraction]]:
+    """The values on the columns of chain (ascending) of the one solution of
+    its equations with last value 1, sign-flipped to a positive first
+    value; None when a pin forces the chain to zero."""
+    position = {t: r for r, t in enumerate(chain)}
+    links: dict[int, tuple[int, int]] = {}
+    pinned = False
+    for terms in equations:
+        if len(terms) == 1:
+            pinned = True
+            continue
+        (t0, c0), (t1, c1) = sorted(terms.items())
+        r = position.get(t1)
+        if r is None or position.get(t0) != r - 1 or r in links:
+            raise RuntimeError("the equations of an anti-diagonal are not a chain")
+        links[r] = (c0, c1)
+    if len(links) != len(chain) - 1:
+        raise RuntimeError("the equations of an anti-diagonal are not a chain")
+    if pinned:
+        return None
+    values = [Fraction(1)]
+    for r in range(len(chain) - 1, 0, -1):
+        c0, c1 = links[r]
+        values.append(-c1 * values[-1] / c0)
+    values.reverse()
+    if values[0] < 0:
+        values = [-x for x in values]
+    return values
 
 
 def _vector_to_symmetric(m: int, vec: Sequence[Fraction]) -> RationalMatrix:
@@ -303,7 +468,7 @@ def fixed_quadric_space(m: int) -> FixedQuadricSpace:
     """
     if m < 1:
         raise ValueError("size must be at least 1")
-    vectors = nullspace_basis(fixed_system_rows(m), m * (m + 1) // 2)
+    vectors = anti_diagonal_basis(m)
     basis = tuple(_vector_to_symmetric(m, vec) for vec in vectors)
     if any(mat[i, j] for mat in basis for i in range(m) for j in range(m - 1 - i)):
         raise RuntimeError(f"a fixed quadric of size {m} is non-zero above the anti-diagonal")

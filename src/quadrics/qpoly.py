@@ -4,10 +4,11 @@ the special subvarieties of complete quadrics.
 
 Rational functions are never represented. Identities whose natural
 statement has rational-function sides are verified after cross-multiplying
-both sides into the polynomial ring. Products of factors 1 - q^k are built
-on plain coefficient lists, one O(degree) step per factor, and the product
-formula divides its denominator out one factor 1 - q^k at a time; every
-quotient is exact because the whole denominator divides the numerator.
+both sides into the polynomial ring. Products of factors 1 - q^k and [k]_q
+are built on plain coefficient lists, one O(degree) step per factor, and
+the product formula divides its denominator out one factor 1 - q^k at a
+time; every quotient is exact because the whole denominator divides the
+numerator.
 """
 
 from __future__ import annotations
@@ -160,10 +161,19 @@ def q_factorial(n: int) -> QPolynomial:
     """[n]_q! = prod_{k=1}^{n} [k]_q, with [0]_q! = 1."""
     if n < 0:
         raise ValueError("q-factorials are defined for n >= 0")
-    result = ONE
-    for k in range(1, n + 1):
-        result = result * q_integer(k)
-    return result
+    coeffs = [1]
+    for k in range(2, n + 1):
+        coeffs = _times_q_integer(coeffs, k)
+    return QPolynomial(coeffs)
+
+
+def _times_q_integer(coeffs: list[int], k: int) -> list[int]:
+    """coeffs * [k]_q on coefficient lists, in O(degree): coefficient i of
+    the product is the sum of the window coeffs[i-k+1 .. i], read off
+    prefix sums of the zero-padded list."""
+    pad = [0] * (k - 1)
+    prefix = [0, *accumulate(pad + coeffs + pad)]
+    return list(map(sub, prefix[k:], prefix[:-k]))
 
 
 def exact_div(a: QPolynomial, b: QPolynomial) -> QPolynomial:

@@ -511,6 +511,70 @@ def test_verify_failure_exit_code_is_one(monkeypatch, capsys):
     assert "FAIL" in out
 
 
+def fixed_quadrics_report(capsys):
+    code, out = run_main(capsys, "verify", "--n", "4", "--checks", "fixed-quadrics")
+    return code, out.splitlines()
+
+
+def test_fixed_quadrics_check_fails_on_a_basis_matrix_that_is_not_fixed(monkeypatch, capsys):
+    from quadrics import nilfix
+
+    def not_fixed(m):
+        space = nilfix.fixed_quadric_space(m)
+        if m != 3:
+            return space
+        # symmetric, but e^T I + I e = e^T + e is not zero
+        return space._replace(basis=(nilfix.RationalMatrix.identity(3),) + space.basis[1:])
+
+    monkeypatch.setattr(cli, "fixed_quadric_space", not_fixed)
+    code, lines = fixed_quadrics_report(capsys)
+    assert code == 1
+    assert "fixed-quadrics m=3: FAIL" in lines
+    assert lines[-1] == "result: 3 passed, 1 failed"
+
+
+def test_fixed_quadrics_check_fails_on_a_dropped_basis_vector(monkeypatch, capsys):
+    from quadrics import nilfix
+
+    def dropped(m):
+        space = nilfix.fixed_quadric_space(m)
+        return space._replace(basis=space.basis[:-1]) if m == 3 else space
+
+    monkeypatch.setattr(cli, "fixed_quadric_space", dropped)
+    code, lines = fixed_quadrics_report(capsys)
+    assert code == 1
+    assert "fixed-quadrics m=3: FAIL" in lines
+    assert lines[-1] == "result: 3 passed, 1 failed"
+
+
+@pytest.mark.parametrize("reversed_only", [False, True])
+def test_fixed_quadrics_check_fails_on_a_rank_off_in_one_column_order(reversed_only, monkeypatch, capsys):
+    from quadrics import nilfix
+
+    def off_by_one(rows, column_order=None):
+        rank = nilfix.row_echelon_rank(rows, column_order=column_order)
+        return rank + 1 if (column_order is not None) == reversed_only else rank
+
+    monkeypatch.setattr(cli, "row_echelon_rank", off_by_one)
+    code, lines = fixed_quadrics_report(capsys)
+    assert code == 1
+    assert lines == [f"fixed-quadrics m={m}: FAIL" for m in range(1, 5)] + ["result: 0 passed, 4 failed"]
+
+
+def test_regularity_items_are_listed_without_building_subsets(monkeypatch, capsys):
+    expected = [str(k) for k in SimpleSubset(6, range(1, 6)).subsets()]
+
+    def refuse(self):
+        raise AssertionError("the regularity items were listed through SimpleSubset.subsets")
+
+    monkeypatch.setattr(SimpleSubset, "subsets", refuse)
+    code, out = run_main(capsys, "verify", "--n", "6", "--checks", "regularity")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:-1] == [f"regularity I={label}: pass" for label in expected]
+    assert lines[-1] == "result: 32 passed, 0 failed"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quadrics import nilfix
 from quadrics.nilfix import (
@@ -42,6 +43,61 @@ def test_rational_matrix_basics():
         a * RationalMatrix([[1, 2, 3]])
     with pytest.raises(ValueError):
         RationalMatrix([[1], [2, 3]])
+
+
+small_fractions = st.one_of(st.just(0), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def matrix_pairs(draw):
+    rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
+    a = [[draw(small_fractions) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(small_fractions) for _ in range(cols)] for _ in range(inner)]
+    return a, b
+
+
+@given(matrix_pairs())
+def test_product_matches_the_definition(pair):
+    a, b = pair
+    expected = [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+    assert RationalMatrix(a) * RationalMatrix(b) == RationalMatrix(expected)
+    assert RationalMatrix(a) + RationalMatrix(a) == RationalMatrix(a).scale(2)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer combinations of a few random rows, so low ranks and
+    non-unit pivots are common."""
+    ncols = draw(st.integers(1, 7))
+    small = st.integers(-4, 4)
+    base = [[draw(small) for _ in range(ncols)] for _ in range(draw(st.integers(1, 4)))]
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        coeffs = [draw(small) for _ in base]
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, base)) for j in range(ncols)])
+    return ncols, rows
+
+
+@given(integer_matrices())
+def test_fraction_free_rank_equals_fraction_rank(matrix):
+    ncols, rows = matrix
+    as_fractions = [[Fraction(x) for x in row] for row in rows]
+    for order in (None, range(ncols - 1, -1, -1)):
+        expected = row_echelon_rank(as_fractions, column_order=order)
+        assert nilfix._integer_rank(rows, order) == expected
+        assert row_echelon_rank(rows, column_order=order) == expected
+
+
+def test_integer_rows_take_the_fraction_free_path(monkeypatch):
+    calls = []
+    real = nilfix._integer_rank
+    monkeypatch.setattr(nilfix, "_integer_rank", lambda *args: calls.append(args) or real(*args))
+    assert row_echelon_rank([[2, 4], [1, 2]]) == 1
+    assert row_echelon_rank([[Fraction(2), 4], [1, 2]]) == 1
+    assert len(calls) == 1
 
 
 def test_regular_nilpotent():
@@ -173,10 +229,10 @@ def test_certificate_rejects_entry_above_anti_diagonal(monkeypatch, fresh_fixed_
     # a one-vector "basis" with a single non-zero upper-triangle coordinate
     # (i, j) must trip the guard exactly when i + j < m - 1; otherwise it
     # leaves some anti-diagonal entry zero, so it is degenerate
-    for m in (3, 4):
+    for m in (3, 4, 6):
         for t, (i, j) in enumerate(nilfix._sym_pairs(m)):
             unit = tuple(Fraction(int(s == t)) for s in range(m * (m + 1) // 2))
-            monkeypatch.setattr(nilfix, "nullspace_basis", lambda rows, ncols: [unit])
+            monkeypatch.setattr(nilfix, "anti_diagonal_basis", lambda m: [unit])
             fixed_quadric_space.cache_clear()
             if i + j < m - 1:
                 with pytest.raises(RuntimeError):
@@ -185,6 +241,35 @@ def test_certificate_rejects_entry_above_anti_diagonal(monkeypatch, fresh_fixed_
                 space = fixed_quadric_space(m)
                 assert space.dimension == 1
                 assert space.has_nondegenerate is grid_has_nondegenerate(space) is False
+
+
+def test_anti_diagonal_basis_equals_the_dense_solve():
+    # same vectors, same order, same signs as the dense Gauss-Jordan oracle
+    for m in range(1, 21):
+        ncols = m * (m + 1) // 2
+        assert nilfix.anti_diagonal_basis(m) == nullspace_basis(fixed_system_rows(m), ncols), m
+
+
+def test_anti_diagonal_basis_is_one_alternating_vector_per_even_anti_diagonal():
+    for m in range(1, 12):
+        expected = []
+        for s in range(m - 1, 2 * m - 1):
+            if s % 2:
+                continue
+            mat = [[0] * m for _ in range(m)]
+            for t in range(s - m + 1, s // 2 + 1):
+                mat[t][s - t] = mat[s - t][t] = (-1) ** (t - s + m - 1)
+            expected.append(RationalMatrix(mat))
+        assert fixed_quadric_space(m).basis == tuple(expected), m
+
+
+def test_chain_solve_rejects_equations_that_are_not_a_chain():
+    with pytest.raises(RuntimeError):
+        nilfix._chain_null_vector([0, 1, 2], [{0: 1, 2: 1}, {1: 1, 2: 1}])
+    with pytest.raises(RuntimeError):
+        nilfix._chain_null_vector([0, 1, 2], [{1: 1, 2: 1}])
+    assert nilfix._chain_null_vector([4, 7], [{4: 2, 7: 3}]) == [Fraction(3, 2), Fraction(-1)]
+    assert nilfix._chain_null_vector([4, 7], [{4: 2, 7: 3}, {7: 2}]) is None
 
 
 def test_nullspace_basis_small_system():

@@ -85,6 +85,19 @@ def test_q_integer_and_factorial():
         assert q_factorial(n).evaluate_at_one() == math.factorial(n)
 
 
+def dense_q_factorial(n):
+    """Oracle: [n]_q! as a product of dense QPolynomials."""
+    result = QPolynomial([1])
+    for k in range(1, n + 1):
+        result = result * q_integer(k)
+    return result
+
+
+def test_q_factorial_matches_the_dense_product():
+    for n in range(41):
+        assert q_factorial(n) == dense_q_factorial(n), n
+
+
 def test_monomial_and_pow():
     assert monomial(3) == QPolynomial([0, 0, 0, 1])
     assert QPolynomial([1, 1]) ** 2 == QPolynomial([1, 2, 1])
@@ -165,6 +178,13 @@ exponents = st.integers(1, 9)
 def test_times_one_minus_q_pow_is_dense_multiplication(coeffs, k):
     out = qpoly._times_one_minus_q_pow(coeffs, k)
     assert QPolynomial(out) == QPolynomial(coeffs) * one_minus_q_pow(k)
+
+
+@given(coeff_lists, exponents)
+def test_times_q_integer_is_dense_multiplication(coeffs, k):
+    out = qpoly._times_q_integer(coeffs, k)
+    assert QPolynomial(out) == QPolynomial(coeffs) * q_integer(k)
+    assert len(out) == len(coeffs) + k - 1
 
 
 @given(coeff_lists, exponents)
