@@ -16,12 +16,14 @@ comparing that sum with the closed product form is the generalized
 Kostant-Macdonald identity this package verifies.
 
 `r_set` is that weight-vector definition of R_K(w); the descent check
-and the tests evaluate R through it. The cell sums and the fixed-point
-listings use the equivalent local comparison of `quadrics.kernel`
-instead, with `r_set` as its test oracle. Each cell sum is one call of
-`kernel.cell_census`, which folds the choice of K into its DP: one orbit
-K is the interval K <= K <= K, the subvariety indexed by I is
-{} <= K <= I, and the full variety lets every special K in.
+evaluates R through it, and so do the tests, which also build the cell
+dimensions from it one (K, w) at a time. The cell sums and the
+fixed-point listings use the equivalent local comparison of
+`quadrics.kernel` instead, with `r_set` as its test oracle. Each cell
+sum is one call of `kernel.cell_census`, which folds the choice of K
+into its DP: one orbit K is the interval K <= K <= K, the subvariety
+indexed by I is {} <= K <= I, and the full variety lets every special K
+in.
 
 The listings are generated as plain rows (`fixed_point_rows`,
 `fixed_point_rows_full_variety`): for each K in turn, the rows
@@ -30,8 +32,8 @@ search that carries ell(w), with R read off the references of
 `kernel.r_references`, computed once per K. No object is built per row,
 so a caller that formats K once per group and writes the rows in
 fixed-size chunks (as `quadrics cells` does) holds one chunk at a time.
-`iter_fixed_points` and `iter_fixed_points_full_variety` wrap the same
-rows into CellRecord objects.
+`fixed_points` and `fixed_points_full_variety` list the same rows as
+CellRecord objects.
 """
 
 from __future__ import annotations
@@ -121,36 +123,6 @@ def r_set(k: SimpleSubset, w: Permutation) -> tuple[int, ...]:
         for i, support in _pairing_supports(k)
         if min(support, key=lambda jc: images[jc[0]])[1] < 0
     )
-
-
-def s_value(k: SimpleSubset, i_set: SimpleSubset, w: Permutation) -> int:
-    """|R_K(w) intersect (I - K)|, the cell-dimension correction inside the
-    subvariety indexed by I."""
-    _require_special(i_set)
-    if not k.issubset(i_set):
-        raise SubsetViolationError(f"{k} is not contained in {i_set}")
-    rest = set(i_set.difference(k))
-    return sum(1 for i in r_set(k, w) if i in rest)
-
-
-def plus_cell_dim(k: SimpleSubset, w: Permutation) -> int:
-    """Dimension ell(w) + |K| + |R_K(w)| of the attracting cell at (K, w)
-    inside the full variety."""
-    return w.length + len(k) + len(r_set(k, w))
-
-
-def cell_dim_in_subvariety(k: SimpleSubset, w: Permutation, i_set: SimpleSubset) -> int:
-    """Dimension of the attracting cell at (K, w) cut down to the
-    subvariety indexed by I: plus_cell_dim minus |I^c intersect R_K(w)|.
-
-    Equals ell(w) + |K| + s_value(k, i_set, w).
-    """
-    _require_special(i_set)
-    if not k.issubset(i_set):
-        raise SubsetViolationError(f"{k} is not contained in {i_set}")
-    r = r_set(k, w)
-    outside = set(i_set.complement())
-    return plus_cell_dim(k, w) - sum(1 for i in r if i in outside)
 
 
 def _cell_sum(n: int, forced: int, allowed: int, target: int) -> QPolynomial:
@@ -299,35 +271,20 @@ def _orbit_rows(k: SimpleSubset, outside: Optional[frozenset[int]]) -> Iterator[
         yield images, r, dim_x, None if outside is None else dim_x - len(outside.intersection(r))
 
 
-def iter_fixed_points(i_set: SimpleSubset) -> Iterator[CellRecord]:
-    """One CellRecord per row of fixed_point_rows(i_set), in its order. I
-    is checked before the first record."""
-    return _records(fixed_point_rows(i_set))
-
-
-def iter_fixed_points_full_variety(n: int) -> Iterator[CellRecord]:
-    """One CellRecord per row of fixed_point_rows_full_variety(n), in its
-    order; dim_xi stays unset. n is checked before the first record."""
-    return _records(fixed_point_rows_full_variety(n))
-
-
-def _records(groups) -> Iterator[CellRecord]:
-    for k, rows in groups:
-        for images, r, dim_x, dim_xi in rows:
-            yield CellRecord(k, Permutation(images), r, dim_x, dim_xi)
-
-
 def fixed_points(i_set: SimpleSubset) -> list[CellRecord]:
-    """The records of iter_fixed_points(i_set), as a list."""
-    return list(iter_fixed_points(i_set))
+    """One CellRecord per row of fixed_point_rows(i_set), in its order."""
+    return [
+        CellRecord(k, Permutation(images), r, dim_x, dim_xi)
+        for k, rows in fixed_point_rows(i_set)
+        for images, r, dim_x, dim_xi in rows
+    ]
 
 
 def fixed_points_full_variety(n: int) -> list[CellRecord]:
-    """The records of iter_fixed_points_full_variety(n), as a list."""
-    return list(iter_fixed_points_full_variety(n))
-
-
-def betti(i_set: SimpleSubset) -> list[int]:
-    """Even Betti numbers of the subvariety indexed by I: entry k is the
-    coefficient of q^k in the fixed-point sum, i.e. b_{2k}."""
-    return list(poincare_sum(i_set).coeffs)
+    """One CellRecord per row of fixed_point_rows_full_variety(n), in its
+    order; dim_xi stays unset."""
+    return [
+        CellRecord(k, Permutation(images), r, dim_x, dim_xi)
+        for k, rows in fixed_point_rows_full_variety(n)
+        for images, r, dim_x, dim_xi in rows
+    ]

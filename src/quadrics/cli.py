@@ -131,6 +131,9 @@ class CapExceededError(Exception):
 
 
 def _check_cap(n: int, max_n: int) -> None:
+    """Refuse n below 1 as invalid input, then n above the cap."""
+    if n < 1:
+        raise ValueError("rank must be at least 1")
     if n > max_n:
         raise CapExceededError(
             f"n={n} exceeds the enumeration cap max_n={max_n}; "
@@ -146,6 +149,11 @@ def _parse_subset(text: str, n: int) -> SimpleSubset:
     except ValueError:
         raise ValueError(f"cannot parse subset {text!r}; expected e.g. 1,3 or none")
     return SimpleSubset(n, members)
+
+
+def _require_special(subset) -> None:
+    if subset is not None and not subset.is_special():
+        raise NotSpecialError(f"{subset} contains consecutive members")
 
 
 def _resolve_format(args: argparse.Namespace) -> str:
@@ -197,8 +205,7 @@ def cmd_poincare(args: argparse.Namespace) -> int:
         raise ValueError(
             "the full variety (no --subset) has no closed product form; use --method cells"
         )
-    if subset is not None and not subset.is_special():
-        raise NotSpecialError(f"{subset} contains consecutive members")
+    _require_special(subset)
     if method in ("cells", "both"):
         _check_cap(n, args.max_n)
         _load("quadrics.cells")
@@ -329,8 +336,6 @@ def _verify_items(n: int, checks, subset) -> list[tuple[str, int, object, str]]:
                 items.append((check, n, members, f"I={_subset_str(members)}"))
         else:
             if subset is not None:
-                if not subset.is_special():
-                    raise NotSpecialError(f"{subset} contains consecutive members")
                 universe = [subset.members]
             else:
                 universe = [s.members for s in enumerate_special(n)]
@@ -350,11 +355,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for c in checks:
             if c not in ALL_CHECKS:
                 raise ValueError(f"unknown check {c!r}; choose from {', '.join(ALL_CHECKS)}")
-    if any(c in ENUMERATING_CHECKS for c in checks):
-        _check_cap(n, args.max_n)
     if n < 1:
         raise ValueError("rank must be at least 1")
     subset = _parse_subset(args.subset, n) if args.subset is not None else None
+    if any(c in ENUMERATING_CHECKS for c in checks):
+        # every enumerating check needs a special I; regularity takes any I
+        _require_special(subset)
+        _check_cap(n, args.max_n)
 
     items = _verify_items(n, checks, subset)
     for check in checks:
@@ -408,9 +415,10 @@ CHUNK_RECORDS = 256
 # The JSON fragments reproduce json.dumps(doc, indent=2) byte for byte.
 def cmd_cells(args: argparse.Namespace) -> int:
     n = args.n
+    subset = _parse_subset(args.subset, n) if args.subset is not None else None
+    _require_special(subset)
     _check_cap(n, args.max_n)
     _load("quadrics.cells")
-    subset = _parse_subset(args.subset, n) if args.subset is not None else None
     if subset is not None:
         groups = fixed_point_rows(subset)
     else:

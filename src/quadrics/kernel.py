@@ -9,7 +9,7 @@ leading sign after w acts is negative exactly when
     w(i+1) < w(i)    otherwise.
 
 `r_references` lists the comparison each i outside K makes, once per K,
-for the fixed-point listings; `r_members` applies it to one w.
+for the fixed-point listings.
 For the census, w is built from left to right by relative rank, as in
 the inversion table behind sum_w q^ell(w) = [n]_q!: the entry at
 position p, placed with rank r among the first p entries, adds p-1-r
@@ -52,15 +52,6 @@ def r_references(n: int, k_members: tuple[int, ...]) -> tuple[tuple[int, int], .
     in_k = set(k_members)
     return tuple(
         (i, i - 2 if i - 1 in in_k else i - 1) for i in range(1, n) if i not in in_k
-    )
-
-
-def r_members(k_members: tuple[int, ...], images: tuple[int, ...]) -> tuple[int, ...]:
-    """R_K(w) by the local rule, for special K and w in W^K given by its
-    one-line images. Inputs are not validated; `cells.r_set` is the
-    weight-vector definition this rule is tested against."""
-    return tuple(
-        i for i, p in r_references(len(images), k_members) if images[i] < images[p]
     )
 
 

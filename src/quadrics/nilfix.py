@@ -12,9 +12,11 @@ boundary strata of the variety of complete quadrics: the stratum indexed
 by I is regular (one unipotent fixed point) exactly when I is special,
 and the classifier rediscovers that by linear algebra alone.
 
-The matching semisimple element is diagonal_h(m) = diag(m-1, m-3, ...),
-with [h, e] = 2e; only e enters any computation, h is kept for
-orientation and a sanity test.
+The classifier reads each block of the flag of type K^c fixed by e off
+block_sizes; that this flag is unique is checked by the tests, which
+count the e-stable flags over F_p. The rank of the fixed-quadric system
+is computed fraction-free on integer rows; the tests compare it with a
+rank over the rationals.
 """
 
 from __future__ import annotations
@@ -25,16 +27,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from quadrics.parabolic import NotSpecialError, SimpleSubset
+from quadrics.parabolic import SimpleSubset
 
 
 class NotSymmetricError(ValueError):
     """Raised when a quadric's matrix is not symmetric."""
-
-
-class PrimeTooSmallError(ValueError):
-    """Raised when the finite-field flag oracle is given p <= n, where
-    unipotent-fixedness and e-stability can diverge."""
 
 
 def _plain(x: Fraction):
@@ -93,9 +90,6 @@ class RationalMatrix:
             for r1, r2 in zip(self.entries, other.entries)
         )
 
-    def __sub__(self, other: RationalMatrix) -> RationalMatrix:
-        return self + other.scale(-1)
-
     def __mul__(self, other: RationalMatrix) -> RationalMatrix:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
@@ -116,10 +110,6 @@ class RationalMatrix:
                         acc[c] += a * b
             product.append(acc)
         return RationalMatrix(product)
-
-    def scale(self, c: object) -> RationalMatrix:
-        c = Fraction(c)
-        return RationalMatrix([c * x for x in row] for row in self.entries)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
@@ -152,16 +142,6 @@ def regular_nilpotent(m: int) -> RationalMatrix:
     )
 
 
-def diagonal_h(m: int) -> RationalMatrix:
-    """diag(m-1, m-3, ..., -(m-1)), the semisimple partner of
-    regular_nilpotent(m) in an sl2-triple: [h, e] = 2e."""
-    if m < 1:
-        raise ValueError("size must be at least 1")
-    return RationalMatrix(
-        [[m - 1 - 2 * i if i == j else 0 for j in range(m)] for i in range(m)]
-    )
-
-
 def infinitesimal_fixed_condition(e: RationalMatrix, a: RationalMatrix) -> RationalMatrix:
     """e^T A + A e, the derivative at the identity of the quadric action
     along exp(te). A is infinitesimally fixed exactly when this vanishes."""
@@ -174,37 +154,10 @@ def infinitesimal_fixed_condition(e: RationalMatrix, a: RationalMatrix) -> Ratio
 
 # --- exact elimination helpers -------------------------------------------
 
-def row_echelon_rank(rows: Sequence[Sequence[object]], column_order: Optional[Sequence[int]] = None) -> int:
-    """Rank over the rationals by Gaussian elimination, visiting columns in
-    the given order (the fixed-quadrics check also runs the reversed order,
-    as an independent route). Rows of ints are eliminated fraction-free on
-    sparse rows; any other entry, a Fraction included, takes the rational
-    path."""
-    if all(set(map(type, row)) <= {int} for row in rows):
-        return _integer_rank(rows, column_order)
-    work = [[Fraction(x) for x in row] for row in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    order = list(column_order) if column_order is not None else list(range(ncols))
-    rank = 0
-    for col in order:
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][col]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                factor = work[r][col] * inv
-                for c in range(ncols):
-                    work[r][c] -= factor * work[rank][c]
-        rank += 1
-    return rank
-
-
-def _integer_rank(rows: Sequence[Sequence[int]], column_order: Optional[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free forward elimination.
+def row_echelon_rank(rows: Sequence[Sequence[int]], column_order: Optional[Sequence[int]] = None) -> int:
+    """Rank of an integer matrix by fraction-free forward elimination,
+    visiting columns in the given order (the fixed-quadrics check also
+    runs the reversed order, as an independent route).
 
     Each row is kept as its non-zero entries, and each column knows the
     rows that are non-zero there, so a pivot step updates only the rows
@@ -212,6 +165,8 @@ def _integer_rank(rows: Sequence[Sequence[int]], column_order: Optional[Sequence
     absolute value 1 is preferred; when the pivot p does not divide a row's
     entry a, that row becomes p * row - a * pivot row, still in integers.
     """
+    if not all(set(map(type, row)) <= {int} for row in rows):
+        raise TypeError("row_echelon_rank takes rows of ints")
     if not rows:
         return 0
     live: dict[int, dict[int, int]] = {}
@@ -474,107 +429,6 @@ def fixed_quadric_space(m: int) -> FixedQuadricSpace:
         raise RuntimeError(f"a fixed quadric of size {m} is non-zero above the anti-diagonal")
     has_nondeg = all(any(mat[k, m - 1 - k] for mat in basis) for k in range(m))
     return FixedQuadricSpace(m, basis, has_nondeg)
-
-
-# --- fixed flags -----------------------------------------------------------
-
-def fixed_flag(k: SimpleSubset) -> list[int]:
-    """Dimensions of the unique flag fixed by the regular unipotent, of
-    type K^c: the space of dimension d is the span of the first d standard
-    basis vectors. Each space's e-stability is verified before returning."""
-    if not k.is_special():
-        raise NotSpecialError(f"{k} contains consecutive members")
-    dims = list(k.complement()) + [k.n]
-    e = regular_nilpotent(k.n)
-    for d in dims:
-        # e shifts coordinates up, so the image of the first d coordinates
-        # must land in the first max(d - 1, 0) of them
-        for j in range(d):
-            column = [e[(i, j)] for i in range(k.n)]
-            for i, x in enumerate(column):
-                if x != 0 and i >= d:
-                    raise RuntimeError(f"span of first {d} coordinates is not stable")
-    return dims
-
-
-def _all_rref(n: int, d: int, p: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Every d-dimensional subspace of F_p^n, as its unique reduced row
-    echelon basis matrix."""
-    spaces = []
-    for pivots in itertools.combinations(range(n), d):
-        free_positions = [
-            (r, c)
-            for r in range(d)
-            for c in range(pivots[r] + 1, n)
-            if c not in pivots
-        ]
-        for values in itertools.product(range(p), repeat=len(free_positions)):
-            rows = [[0] * n for _ in range(d)]
-            for r in range(d):
-                rows[r][pivots[r]] = 1
-            for (r, c), v in zip(free_positions, values):
-                rows[r][c] = v
-            spaces.append(tuple(tuple(row) for row in rows))
-    return spaces
-
-
-def _reduce_mod(vec: list[int], rref: tuple[tuple[int, ...], ...], p: int) -> list[int]:
-    out = list(vec)
-    for row in rref:
-        pivot = next(c for c, x in enumerate(row) if x)
-        if out[pivot]:
-            f = out[pivot]
-            for c in range(len(out)):
-                out[c] = (out[c] - f * row[c]) % p
-    return out
-
-
-def _in_span(vec: Sequence[int], rref: tuple[tuple[int, ...], ...], p: int) -> bool:
-    return not any(_reduce_mod(list(vec), rref, p))
-
-
-def _is_stable(rref: tuple[tuple[int, ...], ...], p: int) -> bool:
-    for row in rref:
-        shifted = list(row[1:]) + [0]
-        if not _in_span(shifted, rref, p):
-            return False
-    return True
-
-
-def fixed_flag_uniqueness_oracle(n: int, k: SimpleSubset, p: int) -> int:
-    """Count, by brute force over F_p, the flags of type K^c whose spaces
-    are all stable under the regular nilpotent reduced mod p.
-
-    The expected count is 1. Requires p > n (p prime) so that exp(e) makes
-    sense mod p and e-stability matches unipotent-fixedness; small n only,
-    since the subspace enumeration is exponential.
-    """
-    if n > 4:
-        raise ValueError("the brute-force oracle is limited to n <= 4")
-    if not k.is_special():
-        raise NotSpecialError(f"{k} contains consecutive members")
-    if k.n != n:
-        raise ValueError(f"rank mismatch: {n} vs {k.n}")
-    if p <= n:
-        raise PrimeTooSmallError(f"need a prime p > {n}, got {p}")
-    if any(p % d == 0 for d in range(2, p)):
-        raise ValueError(f"{p} is not prime")
-
-    dims = list(k.complement())
-    stable_by_level = [
-        [s for s in _all_rref(n, d, p) if _is_stable(s, p)] for d in dims
-    ]
-
-    def count_chains(level: int, prev) -> int:
-        if level == len(dims):
-            return 1
-        total = 0
-        for space in stable_by_level[level]:
-            if prev is None or all(_in_span(row, space, p) for row in prev):
-                total += count_chains(level + 1, space)
-        return total
-
-    return count_chains(0, None)
 
 
 # --- regularity classifier ---------------------------------------------------

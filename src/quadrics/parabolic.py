@@ -1,12 +1,15 @@
-"""Special subsets of [n-1], the parabolic subgroups W_K of S_n they
-generate, and minimal coset representatives for W / W_K.
+"""Special subsets of [n-1], the longest element w_{0,K} of the parabolic
+subgroup W_K of S_n they generate, and the minimal coset representatives
+W^K for W / W_K.
 
 A subset of [n-1] is special when it contains no two consecutive integers.
 For special K the longest element w_{0,K} of W_K is simply the product of
 the pairwise disjoint adjacent transpositions (i, i+1), i in K, and the
 minimal coset representatives are the permutations with no descent inside
 K. Only the special case is supported; the guard is enforced here, at the
-API boundary, for every consumer of W_K machinery.
+API boundary, for every consumer of W_K machinery. W_K itself is never
+listed by the package; the tests build it from its generators to check
+W^K by the unique factorization w = u x with u in W^K and x in W_K.
 
 W^K is generated directly, never by filtering S_n: a depth-first search
 fills the one-line images left to right in increasing order of value,
@@ -258,20 +261,6 @@ def _coset_rep_count(n: int, members: tuple[int, ...]) -> int:
     return total
 
 
-def parabolic_subgroup(k: SimpleSubset) -> list[Permutation]:
-    """All 2^|K| elements of W_K for special K: products of subsets of the
-    commuting generators (i, i+1), i in K."""
-    if not k.is_special():
-        raise NotSpecialError(f"{k} contains consecutive members")
-    out = []
-    for members in _lex_subsets(k.members):
-        images = list(range(1, k.n + 1))
-        for i in members:
-            images[i - 1], images[i] = images[i], images[i - 1]
-        out.append(Permutation(images))
-    return out
-
-
 __all__ = [
     "NotSpecialError",
     "SimpleSubset",
@@ -281,5 +270,4 @@ __all__ = [
     "is_minimal_rep",
     "minimal_coset_rep_images",
     "minimal_coset_reps",
-    "parabolic_subgroup",
 ]

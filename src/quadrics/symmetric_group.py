@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class Permutation:
@@ -117,27 +117,6 @@ def identity(n: int) -> Permutation:
     return Permutation(range(1, n + 1))
 
 
-def simple_reflection(i: int, n: int) -> Permutation:
-    """The adjacent transposition s_i = (i, i+1) in S_n."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"index {i} out of range [1, {n - 1}]")
-    images = list(range(1, n + 1))
-    images[i - 1], images[i] = images[i], images[i - 1]
-    return Permutation(images)
-
-
-def enumerate_permutations(n: int) -> Iterator[Permutation]:
-    """All of S_n, streamed in lexicographic one-line order.
-
-    >>> [str(w) for w in enumerate_permutations(3)][:3]
-    ['123', '132', '213']
-    """
-    if n < 1:
-        raise ValueError("rank must be at least 1")
-    for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(images)
-
-
 class WeightVector:
     """An integer vector sum(coeffs[i] eps_{i+1}) in the epsilon basis.
 
@@ -198,10 +177,3 @@ def simple_root(i: int, n: int) -> WeightVector:
     coeffs[i] = -1
     return WeightVector(coeffs)
 
-
-def height(i: int, j: int) -> int:
-    """Height of the root eps_i - eps_j for i < j, i.e. the number of
-    simple-root summands, which is j - i."""
-    if i < 1 or j <= i:
-        raise ValueError(f"need 1 <= i < j, got i={i}, j={j}")
-    return j - i

@@ -34,7 +34,6 @@ from quadrics.parabolic import (
     enumerate_special,
     minimal_coset_rep_count,
     minimal_coset_reps,
-    parabolic_subgroup,
 )
 from quadrics.qpoly import (
     InexactDivisionError,
@@ -46,12 +45,9 @@ from quadrics.qpoly import (
     q_factorial,
     q_integer,
 )
-from quadrics.symmetric_group import (
-    Permutation,
-    WeightVector,
-    enumerate_permutations,
-    identity,
-)
+from quadrics.symmetric_group import Permutation, WeightVector, identity
+
+from oracles import enumerate_permutations, parabolic_subgroup
 
 
 @contextmanager

@@ -7,23 +7,17 @@ from quadrics.cells import (
     CellRecord,
     NotMinimalRepError,
     SubsetViolationError,
-    betti,
-    cell_dim_in_subvariety,
     descent_characterization_check,
     fixed_point_rows,
     fixed_point_rows_full_variety,
     fixed_points,
     fixed_points_full_variety,
-    iter_fixed_points,
-    iter_fixed_points_full_variety,
     pairing_vector,
     per_orbit_closed_form_check,
     per_orbit_sum,
-    plus_cell_dim,
     poincare_full_variety,
     poincare_sum,
     r_set,
-    s_value,
     verify_km,
 )
 from quadrics.parabolic import (
@@ -34,6 +28,8 @@ from quadrics.parabolic import (
 )
 from quadrics.qpoly import QPolynomial, is_palindromic, monomial, q_integer, product_formula
 from quadrics.symmetric_group import Permutation, identity
+
+from oracles import cell_dim_in_subvariety, plus_cell_dim, s_value
 
 
 def naive_poincare_sum(i_set):
@@ -371,20 +367,20 @@ def test_listing_generators_check_input_before_the_first_record():
     # raised by the call, not by the first next(), so the CLI rejects bad
     # input before it writes a byte
     with pytest.raises(NotSpecialError):
-        iter_fixed_points(SimpleSubset(4, (1, 2)))
-    with pytest.raises(ValueError):
-        iter_fixed_points_full_variety(0)
-    with pytest.raises(NotSpecialError):
         fixed_point_rows(SimpleSubset(4, (1, 2)))
     with pytest.raises(ValueError):
         fixed_point_rows_full_variety(0)
+    # the record lists are built from the same generators
     with pytest.raises(NotSpecialError):
         fixed_points(SimpleSubset(4, (2, 3)))
+    with pytest.raises(ValueError):
+        fixed_points_full_variety(0)
 
 
 def test_betti_numbers():
-    assert betti(SimpleSubset(3, (1,))) == [1, 2, 3, 2, 1]
-    assert betti(SimpleSubset(2, ())) == [1, 1]
+    # coefficient k of the cell sum is the Betti number b_{2k}
+    assert poincare_sum(SimpleSubset(3, (1,))).coeffs == (1, 2, 3, 2, 1)
+    assert poincare_sum(SimpleSubset(2, ())).coeffs == (1, 1)
 
 
 def test_poincare_sum_equals_product_formula_spot_check_n6():

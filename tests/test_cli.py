@@ -9,6 +9,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quadrics.cli as cli
 
@@ -94,6 +95,62 @@ def test_cap_exceeded_and_override():
     assert "max-n" in err or "max_n" in err
     code, out, err = run_cli("poincare", "--n", "10", "--method", "product", "--subset", "none")
     assert code == 0  # closed form does not enumerate S_n
+
+
+@pytest.mark.parametrize("subset, named", [("1,x", "'1,x'"), ("1,2", "{1,2}")], ids=["unparsed", "not-special"])
+@pytest.mark.parametrize(
+    "command", [("poincare",), ("cells",), ("verify", "--checks", "km")], ids=["poincare", "cells", "verify"]
+)
+def test_invalid_subset_above_the_cap_is_invalid_input(command, subset, named, capsys):
+    # the subset is checked before the cap, so bad input exits 2 at any n
+    code = main([*command, "--n", "12", "--subset", subset])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert named in captured.err
+    # a valid subset at the same n still meets the cap
+    assert main([*command, "--n", "12", "--subset", "1,3"]) == 3
+    assert "--max-n 12" in capsys.readouterr().err
+
+
+SUBCOMMANDS = ("poincare", "verify", "cells", "special", "fixed-quadrics")
+
+
+@st.composite
+def small_invocations(draw):
+    """(argv, n, max_n) for one subcommand with n <= 6, so that no draw
+    walks more than S_6."""
+    command = draw(st.sampled_from(SUBCOMMANDS))
+    n = draw(st.integers(-1, 6))
+    max_n = draw(st.integers(0, 6))
+    argv = [command, "--block" if command == "fixed-quadrics" else "--n", str(n)]
+    argv += ["--max-n", str(max_n)]
+    if command in ("poincare", "verify", "cells"):
+        subset = draw(st.sampled_from([None, "none", "", "1", "1,2", "1,3", "0", "x"]))
+        if subset is not None:
+            argv += ["--subset", subset]
+    if command == "poincare":
+        method = draw(st.sampled_from([None, "product", "cells", "both"]))
+        if method is not None:
+            argv += ["--method", method]
+    elif command == "verify":
+        checks = draw(st.lists(st.sampled_from(ALL_CHECKS), min_size=1, max_size=3, unique=True))
+        argv += ["--checks", ",".join(checks)]
+    elif command == "special" and draw(st.booleans()):
+        argv.append("--count")
+    argv += ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    return argv, n, max_n
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_invocations())
+def test_every_subcommand_exits_with_a_documented_code(invocation):
+    argv, n, max_n = invocation
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    # the cap is the only source of exit 3
+    assert code != 3 or n > max_n, argv
 
 
 def test_poincare_json_round_trip(capsys):

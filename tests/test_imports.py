@@ -76,19 +76,15 @@ EXPORTS = {
             "CellRecord",
             "NotMinimalRepError",
             "SubsetViolationError",
-            "betti",
-            "cell_dim_in_subvariety",
             "descent_characterization_check",
             "fixed_points",
             "fixed_points_full_variety",
             "full_variety_orbit_sum",
             "per_orbit_closed_form_check",
             "per_orbit_sum",
-            "plus_cell_dim",
             "poincare_full_variety",
             "poincare_sum",
             "r_set",
-            "s_value",
             "verify_km",
         ],
         "cells",
@@ -97,13 +93,9 @@ EXPORTS = {
         [
             "FixedQuadricSpace",
             "NotSymmetricError",
-            "PrimeTooSmallError",
             "RationalMatrix",
             "RegularityResult",
             "RegularityWitness",
-            "diagonal_h",
-            "fixed_flag",
-            "fixed_flag_uniqueness_oracle",
             "fixed_quadric_space",
             "infinitesimal_fixed_condition",
             "regular_nilpotent",
@@ -120,7 +112,6 @@ EXPORTS = {
             "longest_element",
             "minimal_coset_rep_count",
             "minimal_coset_reps",
-            "parabolic_subgroup",
         ],
         "parabolic",
     ),
@@ -142,10 +133,7 @@ EXPORTS = {
         [
             "Permutation",
             "WeightVector",
-            "enumerate_permutations",
-            "height",
             "identity",
-            "simple_reflection",
             "simple_root",
         ],
         "symmetric_group",

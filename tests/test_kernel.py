@@ -4,6 +4,7 @@ import pytest
 
 import quadrics.cells as cells
 from quadrics.cells import (
+    fixed_point_rows_full_variety,
     full_variety_orbit_sum,
     per_orbit_sum,
     poincare_full_variety,
@@ -11,9 +12,10 @@ from quadrics.cells import (
     r_set,
 )
 from quadrics.cli import main
-from quadrics.kernel import BACKEND, cell_census, r_members
+from quadrics.kernel import BACKEND, cell_census
 from quadrics.parabolic import SimpleSubset, enumerate_special, minimal_coset_reps
 from quadrics.qpoly import QPolynomial, is_palindromic, product_formula
+from quadrics.symmetric_group import Permutation
 
 
 def census_oracle(n, members):
@@ -73,10 +75,11 @@ def test_interval_census_matches_elementwise_oracle_summed_over_k():
 
 
 def test_local_rule_matches_weight_vector_definition():
+    # the R field of the listing rows comes from the local rule
     for n in range(1, 8):
-        for k in enumerate_special(n):
-            for w in minimal_coset_reps(k):
-                assert r_members(k.members, w.images) == r_set(k, w), (n, k, w)
+        for k, rows in fixed_point_rows_full_variety(n):
+            for images, r, _, _ in rows:
+                assert r == r_set(k, Permutation(images)), (n, k, images)
 
 
 def test_km_identity_up_to_n10():

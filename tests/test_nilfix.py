@@ -10,14 +10,10 @@ from quadrics import nilfix
 from quadrics.nilfix import (
     FixedQuadricSpace,
     NotSymmetricError,
-    PrimeTooSmallError,
     RationalMatrix,
     RegularityResult,
     RegularityWitness,
     block_sizes,
-    diagonal_h,
-    fixed_flag,
-    fixed_flag_uniqueness_oracle,
     fixed_quadric_space,
     fixed_system_rows,
     infinitesimal_fixed_condition,
@@ -26,17 +22,20 @@ from quadrics.nilfix import (
     regularity_classifier,
     row_echelon_rank,
 )
-from quadrics.parabolic import NotSpecialError, SimpleSubset
+from quadrics.parabolic import NotSpecialError, SimpleSubset, enumerate_special
+
+from oracles import PrimeTooSmallError, fixed_flag, fixed_flag_uniqueness_oracle, rational_rank
 
 
 def test_rational_matrix_basics():
     a = RationalMatrix([[1, 2], [3, 4]])
     assert a[0, 1] == 2
     assert a.transpose() == RationalMatrix([[1, 3], [2, 4]])
-    assert (a - a).is_zero()
+    assert RationalMatrix.zeros(2, 2).is_zero() and not a.is_zero()
     assert a * RationalMatrix.identity(2) == a
     assert nilfix._int_det([[1, 2], [3, 4]]) == -2
-    assert RationalMatrix([[Fraction(1, 2)]]).scale(2) == RationalMatrix([[1]])
+    half = RationalMatrix([[Fraction(1, 2)]])
+    assert half + half == RationalMatrix([[1]])
     assert not a.is_symmetric()
     assert RationalMatrix([[1, 5], [5, 2]]).is_symmetric()
     with pytest.raises(ValueError):
@@ -64,7 +63,7 @@ def test_product_matches_the_definition(pair):
         for i in range(len(a))
     ]
     assert RationalMatrix(a) * RationalMatrix(b) == RationalMatrix(expected)
-    assert RationalMatrix(a) + RationalMatrix(a) == RationalMatrix(a).scale(2)
+    assert RationalMatrix(a) + RationalMatrix(a) == RationalMatrix([[2 * x for x in row] for row in a])
 
 
 @st.composite
@@ -86,18 +85,17 @@ def test_fraction_free_rank_equals_fraction_rank(matrix):
     ncols, rows = matrix
     as_fractions = [[Fraction(x) for x in row] for row in rows]
     for order in (None, range(ncols - 1, -1, -1)):
-        expected = row_echelon_rank(as_fractions, column_order=order)
-        assert nilfix._integer_rank(rows, order) == expected
+        expected = rational_rank(as_fractions, column_order=order)
         assert row_echelon_rank(rows, column_order=order) == expected
 
 
-def test_integer_rows_take_the_fraction_free_path(monkeypatch):
-    calls = []
-    real = nilfix._integer_rank
-    monkeypatch.setattr(nilfix, "_integer_rank", lambda *args: calls.append(args) or real(*args))
+def test_integer_rows_take_the_fraction_free_path():
     assert row_echelon_rank([[2, 4], [1, 2]]) == 1
-    assert row_echelon_rank([[Fraction(2), 4], [1, 2]]) == 1
-    assert len(calls) == 1
+    assert row_echelon_rank([[2, 4], [1, 3]]) == 2
+    assert row_echelon_rank([]) == 0
+    # rows of anything but ints are refused, not eliminated
+    with pytest.raises(TypeError):
+        row_echelon_rank([[Fraction(2), 4], [1, 2]])
 
 
 def test_regular_nilpotent():
@@ -107,14 +105,7 @@ def test_regular_nilpotent():
     )
     for m in range(1, 7):
         e = regular_nilpotent(m)
-        assert row_echelon_rank(e.entries) == m - 1
-
-
-def test_sl2_triple_bracket():
-    for m in range(1, 7):
-        e = regular_nilpotent(m)
-        h = diagonal_h(m)
-        assert h * e - e * h == e.scale(2)
+        assert row_echelon_rank([[int(x) for x in row] for row in e.entries]) == m - 1
 
 
 def test_infinitesimal_fixed_condition():
@@ -288,6 +279,12 @@ def test_fixed_flag():
     assert fixed_flag(SimpleSubset(6, (2, 5))) == [1, 3, 4, 6]
     with pytest.raises(NotSpecialError):
         fixed_flag(SimpleSubset(4, (2, 3)))
+    # the blocks the classifier reads off block_sizes are the quotients of
+    # this flag
+    for n in range(1, 8):
+        for k in enumerate_special(n):
+            dims = [0] + fixed_flag(k)
+            assert block_sizes(n, k.members) == tuple(b - a for a, b in zip(dims, dims[1:]))
 
 
 def test_fixed_flag_uniqueness_oracle():

@@ -15,10 +15,11 @@ from quadrics.parabolic import (
     minimal_coset_rep_count,
     minimal_coset_rep_images,
     minimal_coset_reps,
-    parabolic_subgroup,
     special_count,
 )
-from quadrics.symmetric_group import Permutation, enumerate_permutations, identity
+from quadrics.symmetric_group import Permutation, identity
+
+from oracles import enumerate_permutations, parabolic_subgroup
 
 
 def all_subsets(n):

