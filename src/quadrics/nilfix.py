@@ -514,31 +514,20 @@ def _first_witness_members(
     return None
 
 
-def regularity_classifier(i_set: SimpleSubset) -> RegularityResult:
-    """Decide by exact linear algebra whether the stratum indexed by I has
-    a single unipotent fixed point.
+@lru_cache(maxsize=None)
+def _block_carries_nondegenerate(m: int) -> bool:
+    """The block test of the witness search: whether the fixed quadrics of
+    an m-by-m block include a nondegenerate one. Only the sizes the search
+    asks about are solved and remembered."""
+    return fixed_quadric_space(m).has_nondegenerate
 
-    The fixed locus splits over the orbits K contained in I. Over the
-    unique fixed flag of type K^c, a fixed point of the K-orbit is a choice
-    of unipotent-fixed nondegenerate quadric on every block of the flag, so
-    the K-orbit contributes exactly when every block size m has
-    fixed_quadric_space(m).has_nondegenerate. K = empty contributes the
-    single base point (all blocks of size 1); any other contributing K is a
-    witness against regularity, and the witness reported is the first in
-    the order of I.subsets(), found by a search over the members of I
-    rather than by listing its subsets. I is deliberately not assumed
-    special: agreement of this classifier with the no-consecutive-members
-    test is a theorem, re-proved here computationally.
-    """
-    n = i_set.n
 
-    def block_ok(m: int) -> bool:
-        return fixed_quadric_space(m).has_nondegenerate
-
-    found = _first_witness_members(n, i_set.members, block_ok)
-    if found is None:
-        return RegularityResult(True, None)
-    k = SimpleSubset(n, found)
+@lru_cache(maxsize=4096)
+def _witness(n: int, found: tuple[int, ...]) -> RegularityWitness:
+    """The witness for the orbit K = found of rank n: the first block of
+    its fixed flag whose fixed quadrics form a family of dimension at
+    least 2, else its first block of size at least 2. Many I share their
+    first K, so the witness is assembled once per (n, K)."""
     sizes = block_sizes(n, found)
     start = 1
     chosen: Optional[tuple[int, int]] = None
@@ -556,7 +545,28 @@ def regularity_classifier(i_set: SimpleSubset) -> RegularityResult:
             start += m
     assert chosen is not None
     block_start, block_size = chosen
-    return RegularityResult(
-        False,
-        RegularityWitness(k, block_start, block_size, fixed_quadric_space(block_size)),
+    return RegularityWitness(
+        SimpleSubset(n, found), block_start, block_size, fixed_quadric_space(block_size)
     )
+
+
+def regularity_classifier(i_set: SimpleSubset) -> RegularityResult:
+    """Decide by exact linear algebra whether the stratum indexed by I has
+    a single unipotent fixed point.
+
+    The fixed locus splits over the orbits K contained in I. Over the
+    unique fixed flag of type K^c, a fixed point of the K-orbit is a choice
+    of unipotent-fixed nondegenerate quadric on every block of the flag, so
+    the K-orbit contributes exactly when every block size m has
+    fixed_quadric_space(m).has_nondegenerate. K = empty contributes the
+    single base point (all blocks of size 1); any other contributing K is a
+    witness against regularity, and the witness reported is the first in
+    the order of I.subsets(), found by a search over the members of I
+    rather than by listing its subsets. I is deliberately not assumed
+    special: agreement of this classifier with the no-consecutive-members
+    test is a theorem, re-proved here computationally.
+    """
+    found = _first_witness_members(i_set.n, i_set.members, _block_carries_nondegenerate)
+    if found is None:
+        return RegularityResult(True, None)
+    return RegularityResult(False, _witness(i_set.n, found))

@@ -45,12 +45,15 @@ class SimpleSubset:
         if n < 1:
             raise ValueError("ambient rank must be at least 1")
         members = tuple(sorted(members))
-        for a, b in zip(members, members[1:]):
-            if a == b:
-                raise ValueError(f"duplicate member {a}")
-        for m in members:
-            if not 1 <= m <= n - 1:
-                raise ValueError(f"member {m} out of range [1, {n - 1}]")
+        # the members are walked only to name the first offending one
+        if len(set(members)) != len(members):
+            for a, b in zip(members, members[1:]):
+                if a == b:
+                    raise ValueError(f"duplicate member {a}")
+        if members and not (1 <= members[0] and members[-1] <= n - 1):
+            for m in members:
+                if not 1 <= m <= n - 1:
+                    raise ValueError(f"member {m} out of range [1, {n - 1}]")
         self.n = n
         self.members = members
 

@@ -271,17 +271,28 @@ def height_identity_check(n: int) -> bool:
 
         prod(1 - q^(j-i+1)) * (1 - q)^n  ==  [n]_q! * prod(1 - q^(j-i)) * (1 - q)^n
 
-    as exact polynomials. Both sides are built on coefficient lists, one
-    O(degree) step per factor 1 - q^k.
+    as exact polynomials. A gap d = j - i occurs n - d times, so both sides
+    share the factor C = (1 - q)^n * prod_{d=2}^{n-1} (1 - q^d)^(n-d),
+    which is built once; then
+
+        left  = C * prod_{d=2}^{n} (1 - q^d),
+        right = C * [n]_q! * (1 - q)^(n-1),
+
+    each completed factor by factor and compared in full. Every step is
+    one O(degree) pass on a coefficient list.
     """
     if n < 1:
         raise ValueError("rank must be at least 1")
-    lhs = [1]
-    rhs = list(q_factorial(n).coeffs)
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    shared = [1]
     # smallest k first keeps the intermediate lists shortest
-    for k in sorted([1] * n + [j - i + 1 for i, j in pairs]):
-        lhs = _times_one_minus_q_pow(lhs, k)
-    for k in sorted([1] * n + [j - i for i, j in pairs]):
-        rhs = _times_one_minus_q_pow(rhs, k)
+    for k in [1] * n + [d for d in range(2, n) for _ in range(n - d)]:
+        shared = _times_one_minus_q_pow(shared, k)
+    lhs = shared
+    for d in range(2, n + 1):
+        lhs = _times_one_minus_q_pow(lhs, d)
+    rhs = shared
+    for k in range(2, n + 1):
+        rhs = _times_q_integer(rhs, k)
+    for _ in range(n - 1):
+        rhs = _times_one_minus_q_pow(rhs, 1)
     return QPolynomial(lhs) == QPolynomial(rhs)

@@ -196,9 +196,18 @@ def grid_has_nondegenerate(space: FixedQuadricSpace) -> bool:
 
 @pytest.fixture
 def fresh_fixed_quadric_cache():
-    fixed_quadric_space.cache_clear()
-    yield
-    fixed_quadric_space.cache_clear()
+    """Empty the fixed-quadric cache and the classifier's memos built on it
+    before and after the test; the test may call the yielded function to
+    empty them again, e.g. after patching the solve."""
+
+    def clear():
+        fixed_quadric_space.cache_clear()
+        nilfix._block_carries_nondegenerate.cache_clear()
+        nilfix._witness.cache_clear()
+
+    clear()
+    yield clear
+    clear()
 
 
 def test_certificate_matches_grid_oracle():
@@ -232,6 +241,22 @@ def test_certificate_rejects_entry_above_anti_diagonal(monkeypatch, fresh_fixed_
                 space = fixed_quadric_space(m)
                 assert space.dimension == 1
                 assert space.has_nondegenerate is grid_has_nondegenerate(space) is False
+
+
+def test_cleared_caches_leave_no_stale_witness(monkeypatch, fresh_fixed_quadric_cache):
+    # the classifier remembers its block test and witnesses; once the
+    # caches are cleared, a witness must carry the family solved now, not
+    # one built from the solve in place before
+    solve = nilfix.anti_diagonal_basis
+    before = regularity_classifier(SimpleSubset(4, (1, 2))).witness.family
+    assert before is fixed_quadric_space(3)
+    monkeypatch.setattr(
+        nilfix, "anti_diagonal_basis", lambda m: [tuple(2 * x for x in vec) for vec in solve(m)]
+    )
+    fresh_fixed_quadric_cache()
+    witness = regularity_classifier(SimpleSubset(4, (1, 2))).witness
+    assert witness.family is fixed_quadric_space(3)
+    assert witness.family != before
 
 
 def test_anti_diagonal_basis_equals_the_dense_solve():

@@ -28,12 +28,18 @@ def all_subsets(n):
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^member 3 out of range \[1, 2\]$"):
         SimpleSubset(3, (3,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^member 0 out of range \[1, 2\]$"):
         SimpleSubset(3, (0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^duplicate member 2$"):
         SimpleSubset(4, (2, 2))
+    # a duplicate is reported before a member out of range
+    with pytest.raises(ValueError, match="^duplicate member 2$"):
+        SimpleSubset(4, (7, 2, 0, 2))
+    # the first member out of range in increasing order is the one named
+    with pytest.raises(ValueError, match=r"^member 5 out of range \[1, 3\]$"):
+        SimpleSubset(4, (6, 1, 5))
     assert SimpleSubset(4, (3, 1)).members == (1, 3)
 
 

@@ -170,6 +170,21 @@ def test_height_check_fails_on_an_off_by_one_exponent(shift, monkeypatch):
     assert all(height_identity_check(n) for n in (2, 3, 7, 20))
 
 
+def test_height_check_fails_on_a_shifted_q_integer(monkeypatch):
+    # the right side carries [n]_q! on top of the factor both sides share;
+    # replacing its factor [n]_q by [n+1]_q must break the identity
+    times = qpoly._times_q_integer
+    for n in (2, 3, 7, 20):
+        monkeypatch.setattr(
+            qpoly,
+            "_times_q_integer",
+            lambda coeffs, k, n=n: times(coeffs, k + 1 if k == n else k),
+        )
+        assert not height_identity_check(n), n
+    monkeypatch.undo()
+    assert all(height_identity_check(n) for n in (2, 3, 7, 20))
+
+
 coeff_lists = st.lists(st.integers(-10**30, 10**30), max_size=12)
 exponents = st.integers(1, 9)
 
