@@ -43,13 +43,13 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from quadrics.kernel import cell_census, r_references
 from quadrics.parabolic import (
-    NotSpecialError,
     SimpleSubset,
     enumerate_special,
     is_minimal_rep,
     longest_element,
     minimal_coset_rep_images,
     minimal_coset_reps,
+    require_special,
 )
 from quadrics.qpoly import QPolynomial, monomial, product_formula, q_factorial
 from quadrics.symmetric_group import Permutation, WeightVector, simple_root
@@ -75,11 +75,6 @@ class CellRecord(NamedTuple):
     r: tuple[int, ...]
     dim_x: int
     dim_xi: Optional[int] = None
-
-
-def _require_special(subset: SimpleSubset) -> None:
-    if not subset.is_special():
-        raise NotSpecialError(f"{subset} contains consecutive members")
 
 
 def _require_rep(k: SimpleSubset, w: Permutation) -> None:
@@ -115,7 +110,7 @@ def r_set(k: SimpleSubset, w: Permutation) -> tuple[int, ...]:
     w(j), so the sign after w acts is the sign of the c_j with the
     smallest image w(j).
     """
-    _require_special(k)
+    require_special(k)
     _require_rep(k, w)
     images = w.images
     return tuple(
@@ -135,8 +130,8 @@ def _cell_sum(n: int, forced: int, allowed: int, target: int) -> QPolynomial:
 def per_orbit_sum(k: SimpleSubset, i_set: SimpleSubset) -> QPolynomial:
     """The K-addend of the fixed-point sum for the subvariety indexed by I:
     sum over w in W^K of q^(ell(w) + |K| + s_{K,I}(w))."""
-    _require_special(i_set)
-    _require_special(k)
+    require_special(i_set)
+    require_special(k)
     if not k.issubset(i_set):
         raise SubsetViolationError(f"{k} is not contained in {i_set}")
     return _cell_sum(k.n, k.mask, k.mask, i_set.mask & ~k.mask)
@@ -146,14 +141,14 @@ def poincare_sum(i_set: SimpleSubset) -> QPolynomial:
     """Poincare polynomial of the subvariety indexed by special I, computed
     from its cell decomposition: the double sum over K contained in I and
     w in W^K of q^(ell(w) + |K| + s_{K,I}(w)), in one census."""
-    _require_special(i_set)
+    require_special(i_set)
     return _cell_sum(i_set.n, 0, i_set.mask, i_set.mask)
 
 
 def full_variety_orbit_sum(k: SimpleSubset) -> QPolynomial:
     """The K-layer of the full variety's cell sum: q^(ell(w) + |K| +
     |R_K(w)|) over w in W^K."""
-    _require_special(k)
+    require_special(k)
     return _cell_sum(k.n, k.mask, k.mask, (1 << (k.n - 1)) - 1)
 
 
@@ -211,7 +206,7 @@ def descent_characterization_check(k: SimpleSubset, i_set: SimpleSubset) -> bool
     the sign convention to descents. Both sides are read from the distinct
     (R_K(w), descents of w) pairs over W^K, computed once per K.
     """
-    _require_special(i_set)
+    require_special(i_set)
     if not k.issubset(i_set):
         raise SubsetViolationError(f"{k} is not contained in {i_set}")
     rest = set(i_set.difference(k))
@@ -240,7 +235,7 @@ def fixed_point_rows(i_set: SimpleSubset) -> Iterator[tuple[SimpleSubset, Iterat
     by lexicographic subset order, w by lexicographic one-line order. Each
     K's rows are to be read before the next K is asked for. I is checked
     before the first group."""
-    _require_special(i_set)
+    require_special(i_set)
     return _rows(i_set.subsets(), frozenset(i_set.complement()))
 
 

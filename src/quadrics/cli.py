@@ -34,16 +34,17 @@ import argparse
 import math
 import os
 import sys
+from collections import Counter
 from functools import cache
 from importlib import import_module
-from itertools import islice
+from itertools import chain, islice
 
 from quadrics.parabolic import (
-    NotSpecialError,
     SimpleSubset,
     _lex_subsets,
-    enumerate_special,
+    _special_members,
     minimal_coset_rep_count,
+    require_special,
     special_count,
 )
 from quadrics.symmetric_group import one_line_separator
@@ -151,11 +152,6 @@ def _parse_subset(text: str, n: int) -> SimpleSubset:
     return SimpleSubset(n, members)
 
 
-def _require_special(subset) -> None:
-    if subset is not None and not subset.is_special():
-        raise NotSpecialError(f"{subset} contains consecutive members")
-
-
 def _resolve_format(args: argparse.Namespace) -> str:
     if args.format:
         return args.format
@@ -169,24 +165,62 @@ def _resolve_format(args: argparse.Namespace) -> str:
     return env
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+# Records joined into each string handed to writelines. One write per chunk
+# instead of one per record, while a chunk (about 60 kB of JSON for `cells`
+# at n = 7) stays small beside the interpreter.
+CHUNK_RECORDS = 256
+
+
+def _emit(args: argparse.Namespace, parts) -> None:
+    """The one report writer: the report's parts, strings that each end in
+    a newline, to --out or stdout, CHUNK_RECORDS parts per write. Reports
+    are generated as they are written, so memory stays flat however long
+    they are; every command raises its input errors before calling this."""
+    chunks = _chunks(parts)
     if args.out:
         with open(args.out, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+
+
+def _chunks(parts):
+    """The parts joined CHUNK_RECORDS at a time."""
+    parts = iter(parts)
+    while chunk := "".join(islice(parts, CHUNK_RECORDS)):
+        yield chunk
 
 
 def _emit_json(args: argparse.Namespace, doc) -> None:
     import json  # imported by the JSON reports alone
 
-    _emit(args, json.dumps(doc, indent=2))
+    _emit(args, [json.dumps(doc, indent=2) + "\n"])
 
 
-# The one map over a command's tasks; jobs is unused but stays positional
-# because the benchmark tracer wraps this function and reads it.
+# The streamed JSON reports reproduce json.dumps(doc, indent=2) byte for
+# byte; each lays out one array a record per part.
+def _json_items(items):
+    """The encoded items of a non-empty JSON array, each ending its line
+    with the comma json.dumps puts after every item but the last."""
+    items = iter(items)
+    item = next(items)
+    for following in items:
+        yield item + ",\n"
+        item = following
+    yield item + "\n"
+
+
+def _json_ints(values, indent: str) -> str:
+    """A list of ints laid out as json.dumps(..., indent=2) lays it out
+    when the list opens at the given indent."""
+    if not values:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(map(str, values)) + "\n" + indent + "]"
+
+
+# Not called by any command: the benchmark tracer wraps it by name. jobs
+# is unused but stays positional because the tracer reads it.
 def _pmap(fn, items, jobs: int) -> list:
     return [fn(item) for item in items]
 
@@ -205,7 +239,8 @@ def cmd_poincare(args: argparse.Namespace) -> int:
         raise ValueError(
             "the full variety (no --subset) has no closed product form; use --method cells"
         )
-    _require_special(subset)
+    if subset is not None:
+        require_special(subset)
     if method in ("cells", "both"):
         _check_cap(n, args.max_n)
         _load("quadrics.cells")
@@ -254,7 +289,7 @@ def cmd_poincare(args: argparse.Namespace) -> int:
                 ]
             ),
         ]
-        _emit(args, "\n".join(lines))
+        _emit(args, [line + "\n" for line in lines])
     else:
         lines = [f"n={n} subset={subset if subset is not None else 'full'}"]
         if product is not None:
@@ -264,7 +299,7 @@ def cmd_poincare(args: argparse.Namespace) -> int:
         lines.append(f"degree: {shown.degree}")
         lines.append(f"euler: {shown.evaluate_at_one()}")
         lines.append(f"verdict: {verdict}")
-        _emit(args, "\n".join(lines))
+        _emit(args, [line + "\n" for line in lines])
     return EXIT_OK if verdict == "ok" else EXIT_CHECK_FAILED
 
 
@@ -319,29 +354,24 @@ def _verify_one(item) -> bool:
     raise ValueError(f"unknown check {check!r}")
 
 
-def _verify_items(n: int, checks, subset) -> list[tuple[str, int, object, str]]:
-    items: list[tuple[str, int, object, str]] = []
+def _verify_results(n: int, checks, subset, tally: Counter):
+    """(check, label, ok) for each item of the report in order, each item
+    checked as the report reaches it; tally counts the oks."""
     for check in checks:
         if check == "height":
-            items.append((check, n, None, f"n={n}"))
+            items = [(None, f"n={n}")]
         elif check == "fixed-quadrics":
-            for m in range(1, n + 1):
-                items.append((check, n, m, f"m={m}"))
-        elif check == "regularity":
-            if subset is not None:
-                universe = [subset.members]
-            else:
-                universe = _lex_subsets(tuple(range(1, n)))
-            for members in universe:
-                items.append((check, n, members, f"I={_subset_str(members)}"))
+            items = ((m, f"m={m}") for m in range(1, n + 1))
+        elif subset is not None:
+            items = [(subset.members, f"I={subset}")]
         else:
-            if subset is not None:
-                universe = [subset.members]
-            else:
-                universe = [s.members for s in enumerate_special(n)]
-            for members in universe:
-                items.append((check, n, members, f"I={_subset_str(members)}"))
-    return items
+            every_i = check == "regularity"  # the other checks take the special I
+            universe = _lex_subsets(tuple(range(1, n))) if every_i else _special_members(1, n)
+            items = ((members, f"I={_subset_str(members)}") for members in universe)
+        for payload, label in items:
+            ok = _verify_one((check, n, payload))
+            tally[bool(ok)] += 1
+            yield check, label, ok
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -360,99 +390,68 @@ def cmd_verify(args: argparse.Namespace) -> int:
     subset = _parse_subset(args.subset, n) if args.subset is not None else None
     if any(c in ENUMERATING_CHECKS for c in checks):
         # every enumerating check needs a special I; regularity takes any I
-        _require_special(subset)
+        if subset is not None:
+            require_special(subset)
         _check_cap(n, args.max_n)
 
-    items = _verify_items(n, checks, subset)
     for check in checks:
         _load(*CHECK_LAYERS[check])
-    results = _pmap(_verify_one, [item[:3] for item in items], args.jobs)
-    passed = sum(1 for ok in results if ok)
-    failed = len(results) - passed
-
+    tally = Counter()
+    results = _verify_results(n, checks, subset, tally)
     if args.format == "json":
-        doc = {
-            "n": n,
-            "checks": checks,
-            "results": [
-                {"check": item[0], "label": item[3], "ok": ok}
-                for item, ok in zip(items, results)
-            ],
-            "passed": passed,
-            "failed": failed,
-            "verdict": "ok" if failed == 0 else "fail",
-        }
-        _emit_json(args, doc)
+        report = _verify_json(n, checks, results, tally)
     elif args.format == "csv":
-        lines = ["check,label,ok"]
-        for item, ok in zip(items, results):
-            lines.append(f"{item[0]},{item[3]},{'pass' if ok else 'FAIL'}")
-        _emit(args, "\n".join(lines))
+        report = chain(["check,label,ok\n"], (
+            f"{check},{label},{'pass' if ok else 'FAIL'}\n" for check, label, ok in results
+        ))
     else:
-        lines = [
-            f"{item[0]} {item[3]}: {'pass' if ok else 'FAIL'}"
-            for item, ok in zip(items, results)
-        ]
-        lines.append(f"result: {passed} passed, {failed} failed")
-        _emit(args, "\n".join(lines))
-    return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
+        report = _verify_text(results, tally)
+    _emit(args, report)
+    return EXIT_OK if tally[False] == 0 else EXIT_CHECK_FAILED
+
+
+def _verify_json(n: int, checks, results, tally: Counter):
+    import json  # imported by the JSON reports alone
+
+    dumps = json.dumps
+    # the fields before and after the results as json.dumps lays them out
+    yield dumps({"n": n, "checks": checks}, indent=2)[:-2] + ',\n  "results": [\n'
+    yield from _json_items(
+        f'    {{\n      "check": {dumps(check)},\n      "label": {dumps(label)},\n'
+        f'      "ok": {dumps(ok)}\n    }}'
+        for check, label, ok in results
+    )
+    failed = tally[False]
+    tail = {"passed": tally[True], "failed": failed, "verdict": "fail" if failed else "ok"}
+    yield "  ]," + dumps(tail, indent=2)[1:] + "\n"
+
+
+def _verify_text(results, tally: Counter):
+    for check, label, ok in results:
+        yield f"{check} {label}: {'pass' if ok else 'FAIL'}\n"
+    yield f"result: {tally[True]} passed, {tally[False]} failed\n"
 
 
 # --- cells ---------------------------------------------------------------------
 
-# Records joined into each string handed to writelines; the header and the
-# closing line count as one each. One write per chunk instead of one per
-# record, while a chunk (about 60 kB of JSON at n = 7) stays small beside
-# the interpreter.
-CHUNK_RECORDS = 256
-
-
 # The report is formatted from the plain rows of the listing, each K's fields
 # once per K and each distinct R field once (R-sets are subsets of [n-1], so
-# a listing has few of them), and written a chunk at a time as the rows are
-# generated, so memory stays flat however many fixed points there are. Every input error
-# is raised before --out is opened and before the first byte is written.
-# The JSON fragments reproduce json.dumps(doc, indent=2) byte for byte.
+# a listing has few of them).
 def cmd_cells(args: argparse.Namespace) -> int:
     n = args.n
     subset = _parse_subset(args.subset, n) if args.subset is not None else None
-    _require_special(subset)
+    if subset is not None:
+        require_special(subset)
     _check_cap(n, args.max_n)
     _load("quadrics.cells")
-    if subset is not None:
-        groups = fixed_point_rows(subset)
-    else:
-        groups = fixed_point_rows_full_variety(n)
-
+    groups = fixed_point_rows(subset) if subset is not None else fixed_point_rows_full_variety(n)
     if args.format == "json":
-        records = _cells_json(n, subset, groups)
+        _emit(args, _cells_json(n, subset, groups))
     elif args.format == "csv":
-        records = _cells_csv(n, groups)
+        _emit(args, _cells_csv(n, groups))
     else:
-        records = _cells_text(n, groups)
-    chunks = _chunks(records)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
+        _emit(args, _cells_text(n, groups))
     return EXIT_OK
-
-
-def _chunks(records):
-    """The formatted records joined CHUNK_RECORDS at a time."""
-    records = iter(records)
-    while chunk := "".join(islice(records, CHUNK_RECORDS)):
-        yield chunk
-
-
-def _json_ints(values, indent: str) -> str:
-    """A list of ints laid out as json.dumps(..., indent=2) lays it out
-    when the list opens at the given indent."""
-    if not values:
-        return "[]"
-    inner = indent + "  "
-    return "[\n" + inner + (",\n" + inner).join(map(str, values)) + "\n" + indent + "]"
 
 
 def _images_format(n: int, separator: str) -> str:
@@ -465,20 +464,22 @@ def _cells_json(n: int, subset, groups):
     subset_field = "null" if subset is None else _json_ints(subset.members, "  ")
     w_format = _images_format(n, ",\n        ")
     r_fields = cache(lambda r: _json_ints(r, "      "))
-    yield f'{{\n  "n": {n},\n  "subset": {subset_field},\n  "records": ['
-    separator = "\n"
-    for k, rows in groups:
-        head = f'    {{\n      "K": {_json_ints(k.members, "      ")},\n      "w": [\n        '
-        for images, r, dim_x, dim_xi in rows:
-            yield (
-                f"{separator}{head}{w_format % images}\n      ],\n"
-                f'      "R": {r_fields(r)},\n'
-                f'      "dim_X": {dim_x},\n'
-                f'      "dim_XI": {"null" if dim_xi is None else dim_xi}\n'
-                "    }"
-            )
-            separator = ",\n"
-    yield "]\n}\n" if separator == "\n" else "\n  ]\n}\n"
+
+    def records():
+        for k, rows in groups:
+            head = f'    {{\n      "K": {_json_ints(k.members, "      ")},\n      "w": [\n        '
+            for images, r, dim_x, dim_xi in rows:
+                yield (
+                    f"{head}{w_format % images}\n      ],\n"
+                    f'      "R": {r_fields(r)},\n'
+                    f'      "dim_X": {dim_x},\n'
+                    f'      "dim_XI": {"null" if dim_xi is None else dim_xi}\n'
+                    "    }"
+                )
+
+    yield f'{{\n  "n": {n},\n  "subset": {subset_field},\n  "records": [\n'
+    yield from _json_items(records())
+    yield "  ]\n}\n"
 
 
 def _cells_csv(n: int, groups):
@@ -509,8 +510,8 @@ def _cells_text(n: int, groups):
 
 def cmd_special(args: argparse.Namespace) -> int:
     n = args.n
+    count = special_count(n)  # refuses n < 1 before the first byte
     if args.count:
-        count = special_count(n)
         # past n = 20,500 the count exceeds Python's default 4,300-digit
         # limit on int-to-str conversion; print every digit
         if hasattr(sys, "set_int_max_str_digits"):
@@ -518,23 +519,21 @@ def cmd_special(args: argparse.Namespace) -> int:
         if args.format == "json":
             _emit_json(args, {"n": n, "count": count})
         elif args.format == "csv":
-            _emit(args, f"count\n{count}")
+            _emit(args, [f"count\n{count}\n"])
         else:
-            _emit(args, str(count))
+            _emit(args, [f"{count}\n"])
         return EXIT_OK
-    subsets = enumerate_special(n)
+    members = _special_members(1, n)
     if args.format == "json":
-        doc = {
-            "n": n,
-            "count": len(subsets),
-            "subsets": [list(s.members) for s in subsets],
-        }
-        _emit_json(args, doc)
+        _emit(args, chain(
+            [f'{{\n  "n": {n},\n  "count": {count},\n  "subsets": [\n'],
+            _json_items("    " + _json_ints(m, "    ") for m in members),
+            ["  ]\n}\n"],
+        ))
     elif args.format == "csv":
-        lines = ["I"] + [";".join(str(i) for i in s.members) for s in subsets]
-        _emit(args, "\n".join(lines))
+        _emit(args, chain(["I\n"], (";".join(map(str, m)) + "\n" for m in members)))
     else:
-        _emit(args, "\n".join(str(s) for s in subsets))
+        _emit(args, (_subset_str(m) + "\n" for m in members))
     return EXIT_OK
 
 
@@ -561,7 +560,7 @@ def cmd_fixed_quadrics(args: argparse.Namespace) -> int:
             "block,dimension,nondegenerate",
             f"{m},{space.dimension},{'yes' if space.has_nondegenerate else 'no'}",
         ]
-        _emit(args, "\n".join(lines))
+        _emit(args, [line + "\n" for line in lines])
     else:
         lines = [
             f"block size {m}: dimension {space.dimension}, "
@@ -570,7 +569,7 @@ def cmd_fixed_quadrics(args: argparse.Namespace) -> int:
         for idx, mat in enumerate(space.basis):
             lines.append(f"basis[{idx}]:")
             lines.append(str(mat))
-        _emit(args, "\n".join(lines))
+        _emit(args, [line + "\n" for line in lines])
     return EXIT_OK
 
 

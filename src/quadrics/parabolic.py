@@ -143,6 +143,12 @@ def _special_members(start: int, n: int) -> Iterator[tuple[int, ...]]:
     return _lex_chains(tuple(range(start, n)), 2)
 
 
+def require_special(subset: SimpleSubset) -> None:
+    """Refuse a subset with two consecutive members."""
+    if not subset.is_special():
+        raise NotSpecialError(f"{subset} contains consecutive members")
+
+
 def enumerate_special(n: int) -> list[SimpleSubset]:
     """All special subsets of [n-1] in lexicographic member order.
 
@@ -174,8 +180,7 @@ def special_count(n: int) -> int:
 def longest_element(k: SimpleSubset) -> Permutation:
     """w_{0,K}: the product of the disjoint adjacent transpositions (i, i+1)
     over i in K. Defined only for special K, where the factors commute."""
-    if not k.is_special():
-        raise NotSpecialError(f"{k} contains consecutive members")
+    require_special(k)
     images = list(range(1, k.n + 1))
     for i in k.members:
         images[i - 1], images[i] = images[i], images[i - 1]
@@ -197,8 +202,7 @@ def minimal_coset_rep_images(k: SimpleSubset) -> Iterator[tuple[tuple[int, ...],
     >>> list(minimal_coset_rep_images(SimpleSubset(3, (1,))))
     [((1, 2, 3), 0), ((1, 3, 2), 1), ((2, 3, 1), 2)]
     """
-    if not k.is_special():
-        raise NotSpecialError(f"{k} contains consecutive members")
+    require_special(k)
     return _coset_rep_search(k.n, k.members)
 
 
@@ -243,8 +247,7 @@ def minimal_coset_rep_count(k: SimpleSubset) -> int:
     """|W^K|, by a recursive count rather than the n!/2^|K| formula, so it
     stays an independent cross-check of the latter. Only counts are kept,
     one int per K and per reduced (n, K)."""
-    if not k.is_special():
-        raise NotSpecialError(f"{k} contains consecutive members")
+    require_special(k)
     return _coset_rep_count(k.n, k.members)
 
 

@@ -17,7 +17,7 @@ from itertools import accumulate
 from operator import sub
 from typing import Iterable
 
-from quadrics.parabolic import NotSpecialError, SimpleSubset
+from quadrics.parabolic import SimpleSubset, require_special
 
 
 class InexactDivisionError(ArithmeticError):
@@ -250,8 +250,7 @@ def product_formula(subset: SimpleSubset) -> QPolynomial:
     denominator divides the numerator when I is special; an
     InexactDivisionError escaping this function means an implementation bug.
     """
-    if not subset.is_special():
-        raise NotSpecialError(f"{subset} contains consecutive members")
+    require_special(subset)
     n = subset.n
     size = len(subset)
     coeffs = [1]

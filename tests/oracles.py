@@ -27,13 +27,8 @@ from typing import Iterator, Optional, Sequence
 
 from quadrics.cells import SubsetViolationError, r_set
 from quadrics.nilfix import regular_nilpotent
-from quadrics.parabolic import NotSpecialError, SimpleSubset
+from quadrics.parabolic import SimpleSubset, require_special
 from quadrics.symmetric_group import Permutation
-
-
-def _require_special(subset: SimpleSubset) -> None:
-    if not subset.is_special():
-        raise NotSpecialError(f"{subset} contains consecutive members")
 
 
 # --- symmetric group -----------------------------------------------------
@@ -62,7 +57,7 @@ def simple_reflection(i: int, n: int) -> Permutation:
 def parabolic_subgroup(k: SimpleSubset) -> list[Permutation]:
     """All 2^|K| elements of W_K for special K: products of subsets of the
     commuting generators (i, i+1), i in K."""
-    _require_special(k)
+    require_special(k)
     out = []
     for size in range(len(k) + 1):
         for members in itertools.combinations(k.members, size):
@@ -78,7 +73,7 @@ def parabolic_subgroup(k: SimpleSubset) -> list[Permutation]:
 def s_value(k: SimpleSubset, i_set: SimpleSubset, w: Permutation) -> int:
     """|R_K(w) intersect (I - K)|, the cell-dimension correction inside the
     subvariety indexed by I."""
-    _require_special(i_set)
+    require_special(i_set)
     if not k.issubset(i_set):
         raise SubsetViolationError(f"{k} is not contained in {i_set}")
     rest = set(i_set.difference(k))
@@ -97,7 +92,7 @@ def cell_dim_in_subvariety(k: SimpleSubset, w: Permutation, i_set: SimpleSubset)
 
     Equals ell(w) + |K| + s_value(k, i_set, w).
     """
-    _require_special(i_set)
+    require_special(i_set)
     if not k.issubset(i_set):
         raise SubsetViolationError(f"{k} is not contained in {i_set}")
     outside = set(i_set.complement())
@@ -141,7 +136,7 @@ def fixed_flag(k: SimpleSubset) -> list[int]:
     """Dimensions of the unique flag fixed by the regular unipotent, of
     type K^c: the space of dimension d is the span of the first d standard
     basis vectors. Each space's e-stability is verified before returning."""
-    _require_special(k)
+    require_special(k)
     dims = list(k.complement()) + [k.n]
     e = regular_nilpotent(k.n)
     for d in dims:
@@ -209,7 +204,7 @@ def fixed_flag_uniqueness_oracle(n: int, k: SimpleSubset, p: int) -> int:
     """
     if n > 4:
         raise ValueError("the brute-force oracle is limited to n <= 4")
-    _require_special(k)
+    require_special(k)
     if k.n != n:
         raise ValueError(f"rank mismatch: {n} vs {k.n}")
     if p <= n:

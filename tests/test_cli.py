@@ -328,20 +328,156 @@ def test_cells_n7_matches_the_benchmark_digest(fmt):
     assert digest == digests[f"cells --n 7 --format {fmt}"]
 
 
+def special_report_oracle(n, fmt, count_only):
+    """The `special` report as the list-building formatter wrote it before
+    the listing streamed, every subset held at once. Each report ends in
+    one added newline, so the csv keeps the blank row of the empty subset."""
+    if count_only:
+        count = special_count(n)
+        if fmt == "json":
+            return json.dumps({"n": n, "count": count}, indent=2) + "\n"
+        return f"count\n{count}\n" if fmt == "csv" else f"{count}\n"
+    subsets = enumerate_special(n)
+    if fmt == "json":
+        doc = {"n": n, "count": len(subsets), "subsets": [list(s.members) for s in subsets]}
+        return json.dumps(doc, indent=2) + "\n"
+    if fmt == "csv":
+        return "\n".join(["I"] + [";".join(str(i) for i in s.members) for s in subsets]) + "\n"
+    return "\n".join(str(s) for s in subsets) + "\n"
+
+
+def verify_report_oracle(n, checks, subset, fmt):
+    """The `verify` report as the list-building formatter wrote it before
+    the report streamed: the item list, the result list and the whole
+    document held at once."""
+    items = []
+    for check in checks:
+        if check == "height":
+            items.append((check, n, None, f"n={n}"))
+        elif check == "fixed-quadrics":
+            items += [(check, n, m, f"m={m}") for m in range(1, n + 1)]
+        else:
+            if subset is not None:
+                universe = [subset]
+            elif check == "regularity":
+                universe = list(SimpleSubset(n, range(1, n)).subsets())
+            else:
+                universe = enumerate_special(n)
+            items += [(check, n, i_set.members, f"I={i_set}") for i_set in universe]
+    for check in checks:
+        cli._load(*cli.CHECK_LAYERS[check])
+    results = [cli._verify_one(item[:3]) for item in items]
+    passed = sum(1 for ok in results if ok)
+    failed = len(results) - passed
+    if fmt == "json":
+        doc = {
+            "n": n,
+            "checks": checks,
+            "results": [
+                {"check": item[0], "label": item[3], "ok": ok}
+                for item, ok in zip(items, results)
+            ],
+            "passed": passed,
+            "failed": failed,
+            "verdict": "ok" if failed == 0 else "fail",
+        }
+        return json.dumps(doc, indent=2) + "\n"
+    if fmt == "csv":
+        lines = ["check,label,ok"]
+        for item, ok in zip(items, results):
+            lines.append(f"{item[0]},{item[3]},{'pass' if ok else 'FAIL'}")
+        return "\n".join(lines) + "\n"
+    lines = [
+        f"{item[0]} {item[3]}: {'pass' if ok else 'FAIL'}"
+        for item, ok in zip(items, results)
+    ]
+    lines.append(f"result: {passed} passed, {failed} failed")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="session")
+def verify_results():
+    """Each check's result per (check, n, payload), shared by the whole test run."""
+    return {}
+
+
+@pytest.fixture
+def remembered_checks(verify_results, monkeypatch):
+    """cli._verify_one answering each item from verify_results, so the
+    report comparisons below run each check once, not once per format,
+    chunk size and output target."""
+    real = cli._verify_one
+
+    def remembered(item):
+        if item not in verify_results:
+            verify_results[item] = real(item)
+        return verify_results[item]
+
+    monkeypatch.setattr(cli, "_verify_one", remembered)
+
+
+def special_and_verify_runs(fmt):
+    """(argv, expected report) for every `special` and `verify` report
+    compared with the oracles: each n <= 7, with and without --count, every
+    check alone and all of them, and --subset runs."""
+    for n in range(1, 8):
+        for count_only in (False, True):
+            argv = ["special", "--n", str(n), "--format", fmt] + ["--count"] * count_only
+            yield argv, special_report_oracle(n, fmt, count_only)
+        runs = [(check, None) for check in ("all", *ALL_CHECKS)]
+        runs += [("all", "none"), ("all", ",".join(map(str, range(1, n, 2))) or "none")]
+        if n >= 3:
+            runs.append(("regularity,height", "1,2"))
+        for checks, members in runs:
+            argv = ["verify", "--n", str(n), "--checks", checks, "--format", fmt]
+            subset = None
+            if members is not None:
+                argv += ["--subset", members]
+                subset = SimpleSubset(n, () if members == "none" else map(int, members.split(",")))
+            names = list(ALL_CHECKS) if checks == "all" else checks.split(",")
+            yield argv, verify_report_oracle(n, names, subset, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+def test_streamed_special_and_verify_reports_match_list_formatter(
+    chunk, fmt, tmp_path, capsys, monkeypatch, remembered_checks
+):
+    if chunk is not None:
+        monkeypatch.setattr(cli, "CHUNK_RECORDS", chunk)
+    target = tmp_path / "report"
+    for argv, expected in special_and_verify_runs(fmt):
+        assert run_main(capsys, *argv) == (0, expected), argv
+        assert run_main(capsys, *argv, "--out", str(target)) == (0, ""), argv
+        assert target.read_text() == expected, argv
+
+
+def test_special_csv_keeps_the_row_of_the_empty_subset(capsys):
+    # n = 1 has one special subset, the empty one: a blank row under the header
+    assert run_main(capsys, "special", "--n", "1", "--format", "csv") == (0, "I\n\n")
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 @pytest.mark.parametrize(
     "argv, code",
     [
-        (("--n", "0"), 2),
-        (("--n", "10"), 3),
-        (("--n", "5", "--subset", "1,x"), 2),
-        (("--n", "5", "--subset", "1,2"), 2),
+        (("cells", "--n", "0"), 2),
+        (("cells", "--n", "10"), 3),
+        (("cells", "--n", "5", "--subset", "1,x"), 2),
+        (("cells", "--n", "5", "--subset", "1,2"), 2),
+        (("special", "--n", "0"), 2),
+        (("verify", "--n", "0"), 2),
+        (("verify", "--n", "5", "--checks", "nope"), 2),
+        (("verify", "--n", "5", "--subset", "1,x"), 2),
+        (("verify", "--n", "5", "--subset", "1,2", "--checks", "km"), 2),
+        (("verify", "--n", "10", "--checks", "descent"), 3),
     ],
 )
 def test_cells_input_errors_write_nothing(argv, code, fmt, tmp_path, capsys):
+    # and those of the other streamed reports, special and verify
     target = tmp_path / "report"
     for out in ((), ("--out", str(target))):
-        assert main(["cells", *argv, "--format", fmt, *out]) == code
+        assert main([*argv, "--format", fmt, *out]) == code
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
@@ -364,16 +500,23 @@ class CountingSink(io.TextIOBase):
         return len(text)
 
 
-def test_streamed_cells_json_holds_no_listing(monkeypatch):
-    # 35,280 records; building the document peaked near 100 MB
+def run_counted(monkeypatch, *argv):
+    """The exit code, the CountingSink stdout and the peak traced memory
+    of one command."""
     sink = CountingSink()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
     try:
-        code = main(["cells", "--n", "7", "--format", "json"])
+        code = main(list(argv))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return code, sink, peak
+
+
+def test_streamed_cells_json_holds_no_listing(monkeypatch):
+    # 35,280 records; building the document peaked near 100 MB
+    code, sink, peak = run_counted(monkeypatch, "cells", "--n", "7", "--format", "json")
     assert code == 0
     assert sink.tail.endswith('"dim_XI": null\n    }\n  ]\n}\n')
     assert sink.chars > 35280 * 100
@@ -383,17 +526,36 @@ def test_streamed_cells_json_holds_no_listing(monkeypatch):
 @pytest.mark.parametrize("fmt", ["csv", "text"])
 def test_streamed_cells_csv_and_text_hold_no_listing(fmt, monkeypatch):
     tail = {"csv": "6,7654312,1;2;3;4;5,26,\n", "text": "total: 35280 fixed points\n"}[fmt]
-    sink = CountingSink()
-    monkeypatch.setattr(sys, "stdout", sink)
-    tracemalloc.start()
-    try:
-        code = main(["cells", "--n", "7", "--format", fmt])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, sink, peak = run_counted(monkeypatch, "cells", "--n", "7", "--format", fmt)
     assert code == 0
     assert sink.tail.endswith(tail)
     assert sink.chars > 35280 * 15
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize(
+    "argv, tail, floor",
+    [
+        # 28,657 subsets; building the document peaked near 24.5 MB
+        (
+            ("special", "--n", "22", "--format", "json"),
+            "    [\n      21\n    ]\n  ]\n}\n",
+            28657 * 65,
+        ),
+        # 32,768 results; building the report peaked near 14.2 MB
+        (
+            ("verify", "--n", "16", "--checks", "regularity"),
+            "regularity I={15}: pass\nresult: 32768 passed, 0 failed\n",
+            32768 * 35,
+        ),
+    ],
+    ids=["special", "verify"],
+)
+def test_streamed_special_and_verify_hold_no_report(argv, tail, floor, monkeypatch):
+    code, sink, peak = run_counted(monkeypatch, *argv)
+    assert code == 0
+    assert sink.tail.endswith(tail)
+    assert sink.chars > floor
     assert peak < 2_000_000
 
 
