@@ -51,7 +51,12 @@ from quadrics.parabolic import (
     minimal_coset_reps,
     require_special,
 )
-from quadrics.qpoly import QPolynomial, monomial, product_formula, q_factorial
+from quadrics.qpoly import (
+    QPolynomial,
+    _times_one_plus_q_pow,
+    product_formula,
+    q_factorial,
+)
 from quadrics.symmetric_group import Permutation, WeightVector, simple_root
 
 
@@ -180,22 +185,24 @@ def per_orbit_closed_form_check(k: SimpleSubset, i_set: SimpleSubset) -> bool:
 
         addend * (1+q^2)^k * (1+q)^l == q^k * (1+q^2)^l * prod_i [i]_q.
 
-    The addend is the fixed-K census; the two cleared factors depend on
-    (n, k, l) only and are built once each.
+    The addend is the fixed-K census. Its side is multiplied out one
+    factor 1 + q^2 or 1 + q at a time, each step O(degree); the right side
+    depends on (n, k, l) only and is built once, the same way.
     """
-    addend = per_orbit_sum(k, i_set)
-    denominator, numerator = _closed_form_factors(k.n, len(k), len(i_set))
-    return addend * denominator == numerator
+    cleared = list(per_orbit_sum(k, i_set).coeffs)
+    for step in [2] * len(k) + [1] * len(i_set):
+        cleared = _times_one_plus_q_pow(cleared, step)
+    return QPolynomial(cleared) == _closed_form_factors(k.n, len(k), len(i_set))
 
 
 @lru_cache(maxsize=None)
-def _closed_form_factors(n: int, size_k: int, size_l: int) -> tuple[QPolynomial, QPolynomial]:
-    """(1+q^2)^k * (1+q)^l and q^k * (1+q^2)^l * prod_{i<=n} [i]_q, the
-    cleared denominator and numerator of a K-addend with |K| = k, |I| = l."""
-    one_plus_q2 = QPolynomial([1, 0, 1])
-    denominator = one_plus_q2 ** size_k * QPolynomial([1, 1]) ** size_l
-    numerator = monomial(size_k) * one_plus_q2 ** size_l * q_factorial(n)
-    return denominator, numerator
+def _closed_form_factors(n: int, size_k: int, size_l: int) -> QPolynomial:
+    """q^k * (1+q^2)^l * prod_{i<=n} [i]_q, the cleared numerator of a
+    K-addend with |K| = k, |I| = l."""
+    coeffs = [0] * size_k + list(q_factorial(n).coeffs)
+    for _ in range(size_l):
+        coeffs = _times_one_plus_q_pow(coeffs, 2)
+    return QPolynomial(coeffs)
 
 
 def descent_characterization_check(k: SimpleSubset, i_set: SimpleSubset) -> bool:

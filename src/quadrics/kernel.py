@@ -20,13 +20,25 @@ the R-test at i = p-1 (w(p-2) if p-2 is in K, else w(p-1)) and becomes
 the next reference. So the only state is the reference's rank and one
 bit for the last join, and one pass sums the cells of every special K in
 an interval forced <= K <= allowed: one orbit, the orbits inside a
-subvariety, or the whole variety. A census takes O(n^5) integer
-additions instead of a scan of all n! permutations per K.
+subvariety, or the whole variety.
+
+Each state holds its polynomial as one integer, the coefficients in
+fixed-width slots (Kronecker substitution): times q^k is a shift by k
+slots and adding polynomials is adding integers. A coefficient counts
+pairs (relative ranks of a prefix, join choices), so it stays below
+n! * 2^(n-1); a slot of that bit length plus one, rounded up to whole
+bytes, holds every coefficient of every state, sum and product below,
+and all of them are non-negative, so no slot ever carries into the next.
+The moves to rank r outside K take the suffix sum over the reference
+ranks s >= r, and the join moves out of one state are one product with
+q + ... + q^(p-1-s). A census is O(n^2) operations on integers of
+O(n^2 * n log n) bits, instead of a scan of all n! permutations per K.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial
 
 # the engine's name, as `quadrics.kernel_backend` and benchmark records report it
 BACKEND = "pure-python"
@@ -67,28 +79,40 @@ def cell_census(n: int, forced: int, allowed: int, target: int) -> dict[int, int
     """
     _validate(n, forced, allowed, target)
     size = n * (n - 1) // 2 + (allowed | target).bit_count() + 1
-    # states[s, joined]: coefficients of the prefixes whose reference entry
-    # has rank s, where joined says whether the last decided i joined K
-    states = {(0, False): [1] + [0] * (size - 1)}
+    # slot width in bytes: the bit length of n! * 2^(n-1), plus one, rounded up
+    slot = (factorial(n) << (n - 1)).bit_length() // 8 + 1
+    width = 8 * slot
+    # free[s], held[s]: the packed polynomials of the prefixes whose reference
+    # entry has rank s, where the last decided i is outside K (free) or in K
+    free, held = [1], [0]
     for p in range(2, n + 1):
         bit = 1 << (p - 2)  # i = p-1 is decided at this step
-        must, may, counted = forced & bit, allowed & bit, bool(target & bit)
-        nxt: dict[tuple[int, bool], list[int]] = {}
-        for (s, joined), poly in states.items():
-            terms = [(e, c) for e, c in enumerate(poly) if c]
-            for r in range(p):
-                below = r <= s
-                moves = []
-                if may and not joined and not below:
-                    # p-1 joins K: w(p) > w(p-1) keeps the reference's rank,
-                    # and w(p-1) stays the reference for position p+1
-                    moves.append(((s, True), p - r))
-                if not must:
-                    moves.append(((r, False), p - 1 - r + (below and counted)))
-                for key, shift in moves:
-                    dest = nxt.setdefault(key, [0] * size)
-                    for e, c in terms:
-                        dest[e + shift] += c
-        states = nxt
-    totals = [sum(column) for column in zip(*states.values())]
-    return {e: count for e, count in enumerate(totals) if count}
+        must, may, counted = forced & bit, allowed & bit, target & bit
+        next_held = [0] * p
+        if may:
+            # p-1 joins K: w(p) > w(p-1), rank r > s, adds p-r; the reference
+            # keeps its rank s and stays the reference for position p+1
+            joins = 0  # q + ... + q^(p-1-s)
+            for s in range(p - 2, -1, -1):
+                joins += 1 << (width * (p - 1 - s))
+                if free[s]:
+                    next_held[s] = free[s] * joins
+        next_free = [0] * p
+        if not must:
+            # w(p) of rank r becomes the reference and adds p-1-r, plus one
+            # for i = p-1 in R when counted and w(p) is below the old
+            # reference (r <= s): the states with s >= r sum to below
+            total = sum(free) + sum(held)
+            below = 0
+            for r in range(p - 1, -1, -1):
+                if counted:
+                    if r < p - 1:
+                        below += free[r] + held[r]
+                    poly = (below << width) + total - below
+                else:
+                    poly = total
+                next_free[r] = poly << (width * (p - 1 - r))
+        free, held = next_free, next_held
+    data = (sum(free) + sum(held)).to_bytes(size * slot, "little")
+    counts = (int.from_bytes(data[i : i + slot], "little") for i in range(0, len(data), slot))
+    return {e: count for e, count in enumerate(counts) if count}

@@ -4,17 +4,17 @@ the special subvarieties of complete quadrics.
 
 Rational functions are never represented. Identities whose natural
 statement has rational-function sides are verified after cross-multiplying
-both sides into the polynomial ring. Products of factors 1 - q^k and [k]_q
-are built on plain coefficient lists, one O(degree) step per factor, and
-the product formula divides its denominator out one factor 1 - q^k at a
-time; every quotient is exact because the whole denominator divides the
-numerator.
+both sides into the polynomial ring. Products of factors 1 - q^k,
+1 + q^k and [k]_q are built on plain coefficient lists, one O(degree)
+step per factor, and the product formula divides its denominator out one
+factor 1 - q^k at a time; every quotient is exact because the whole
+denominator divides the numerator.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import sub
+from operator import add, sub
 from typing import Iterable
 
 from quadrics.parabolic import SimpleSubset, require_special
@@ -220,6 +220,13 @@ def _times_one_minus_q_pow(coeffs: list[int], k: int) -> list[int]:
     out = coeffs + [0] * k
     # out[i] -= coeffs[i - k] for every i >= k, in one pass
     out[k:] = map(sub, out[k:], coeffs)
+    return out
+
+
+def _times_one_plus_q_pow(coeffs: list[int], k: int) -> list[int]:
+    """coeffs * (1 + q^k) on coefficient lists, in O(degree)."""
+    out = coeffs + [0] * k
+    out[k:] = map(add, out[k:], coeffs)
     return out
 
 

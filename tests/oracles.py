@@ -12,6 +12,9 @@ Nothing under src/ imports this file.
 * s_value, plus_cell_dim and cell_dim_in_subvariety give cell dimensions
   one (K, w) at a time through the weight-vector `cells.r_set`; they check
   the census of `kernel` and the rows of `cells.fixed_point_rows`.
+* census_by_lists is the insertion DP of `kernel.cell_census` with each
+  state's polynomial as a dense coefficient list, added into term by term
+  for every state and rank; it checks the packed-integer census.
 * rational_rank (Gaussian elimination over Fractions) checks the
   fraction-free `nilfix.row_echelon_rank`.
 * fixed_flag and fixed_flag_uniqueness_oracle (a count of flags over F_p)
@@ -97,6 +100,35 @@ def cell_dim_in_subvariety(k: SimpleSubset, w: Permutation, i_set: SimpleSubset)
         raise SubsetViolationError(f"{k} is not contained in {i_set}")
     outside = set(i_set.complement())
     return plus_cell_dim(k, w) - sum(1 for i in r_set(k, w) if i in outside)
+
+
+def census_by_lists(n: int, forced: int, allowed: int, target: int) -> dict[int, int]:
+    """`kernel.cell_census` on coefficient lists: the same states (s, joined),
+    each move added into its destination one coefficient at a time, O(n^5)
+    additions. Inputs are taken as valid; the tests validate through the
+    packed census."""
+    size = n * (n - 1) // 2 + (allowed | target).bit_count() + 1
+    states = {(0, False): [1] + [0] * (size - 1)}
+    for p in range(2, n + 1):
+        bit = 1 << (p - 2)
+        must, may, counted = forced & bit, allowed & bit, bool(target & bit)
+        nxt: dict[tuple[int, bool], list[int]] = {}
+        for (s, joined), poly in states.items():
+            terms = [(e, c) for e, c in enumerate(poly) if c]
+            for r in range(p):
+                below = r <= s
+                moves = []
+                if may and not joined and not below:
+                    moves.append(((s, True), p - r))
+                if not must:
+                    moves.append(((r, False), p - 1 - r + (below and counted)))
+                for key, shift in moves:
+                    dest = nxt.setdefault(key, [0] * size)
+                    for e, c in terms:
+                        dest[e + shift] += c
+        states = nxt
+    totals = [sum(column) for column in zip(*states.values())]
+    return {e: count for e, count in enumerate(totals) if count}
 
 
 # --- rational rank ---------------------------------------------------------

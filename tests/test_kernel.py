@@ -16,6 +16,7 @@ from quadrics.kernel import BACKEND, cell_census
 from quadrics.parabolic import SimpleSubset, enumerate_special, minimal_coset_reps
 from quadrics.qpoly import QPolynomial, is_palindromic, product_formula
 from quadrics.symmetric_group import Permutation
+from oracles import census_by_lists
 
 
 def census_oracle(n, members):
@@ -129,6 +130,59 @@ def test_full_variety_up_to_n24():
         assert poly.degree == n * (n + 1) // 2 - 1, n
         euler = sum(math.factorial(n) // 2 ** len(k) for k in enumerate_special(n))
         assert poly.evaluate_at_one() == euler, n
+
+
+def _intervals(n):
+    """Every (forced, allowed) the census accepts at rank n: forced special
+    and inside allowed."""
+    for forced in range(1 << (n - 1)):
+        if not forced & (forced >> 1):
+            for allowed in range(1 << (n - 1)):
+                if not forced & ~allowed:
+                    yield forced, allowed
+
+
+def test_packed_census_matches_list_dp_on_every_input_up_to_n6():
+    for n in range(1, 7):
+        for forced, allowed in _intervals(n):
+            for target in range(1 << (n - 1)):
+                census = cell_census(n, forced, allowed, target)
+                assert census == census_by_lists(n, forced, allowed, target), (
+                    n, forced, allowed, target
+                )
+                assert list(census) == sorted(census) and all(census.values())
+
+
+def test_packed_census_matches_list_dp_up_to_n10():
+    for n in range(7, 11):
+        full_mask = (1 << (n - 1)) - 1
+        for forced, allowed in _intervals(n):
+            for target in {0, allowed, full_mask, allowed & ~forced}:
+                assert cell_census(n, forced, allowed, target) == census_by_lists(
+                    n, forced, allowed, target
+                ), (n, forced, allowed, target)
+        # 35,854 inputs at n = 10: keep the cache from holding them all
+        cell_census.cache_clear()
+
+
+def test_packed_full_variety_matches_list_dp_up_to_n24():
+    for n in range(1, 25):
+        everything = (1 << (n - 1)) - 1
+        assert cell_census(n, 0, everything, everything) == census_by_lists(
+            n, 0, everything, everything
+        ), n
+
+
+def test_smallest_censuses():
+    assert cell_census(1, 0, 0, 0) == {0: 1}
+    # rank 2: K = {} has W^K = {12, 21}, and 1 is in R(21) since w(2) < w(1);
+    # K = {1} has W^K = {12} and one cell of dimension |K| = 1
+    assert cell_census(2, 0, 0, 0) == {0: 1, 1: 1}
+    assert cell_census(2, 0, 0, 1) == {0: 1, 2: 1}
+    assert cell_census(2, 0, 1, 0) == {0: 1, 1: 2}
+    assert cell_census(2, 0, 1, 1) == {0: 1, 1: 1, 2: 1}
+    assert cell_census(2, 1, 1, 0) == {1: 1}
+    assert cell_census(2, 1, 1, 1) == {1: 1}
 
 
 def test_census_total_counts():

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from quadrics import qpoly
 from quadrics.parabolic import NotSpecialError, SimpleSubset, enumerate_special
 from quadrics.qpoly import (
+    ONE,
     InexactDivisionError,
     QPolynomial,
     exact_div,
@@ -193,6 +194,13 @@ exponents = st.integers(1, 9)
 def test_times_one_minus_q_pow_is_dense_multiplication(coeffs, k):
     out = qpoly._times_one_minus_q_pow(coeffs, k)
     assert QPolynomial(out) == QPolynomial(coeffs) * one_minus_q_pow(k)
+
+
+@given(coeff_lists, exponents)
+def test_times_one_plus_q_pow_is_dense_multiplication(coeffs, k):
+    out = qpoly._times_one_plus_q_pow(coeffs, k)
+    assert QPolynomial(out) == QPolynomial(coeffs) * (ONE + monomial(k))
+    assert len(out) == len(coeffs) + k
 
 
 @given(coeff_lists, exponents)
