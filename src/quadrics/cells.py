@@ -23,13 +23,17 @@ fixed-point listings use the equivalent local comparison of
 sum is one call of `kernel.cell_census`, which folds the choice of K
 into its DP: one orbit K is the interval K <= K <= K, the subvariety
 indexed by I is {} <= K <= I, and the full variety lets every special K
-in.
+in. The engine keeps nothing between calls. `poincare_sum` holds the one
+memo of this layer, the polynomial of each I asked for: the `km`,
+`duality` and `euler` checks of `verify` each ask for the same I, so it
+runs one census per I, not three. The fixed-K censuses of the per-orbit
+closed-form check are never asked for twice and are not kept.
 
 The listings are generated as plain rows (`fixed_point_rows`,
 `fixed_point_rows_full_variety`): for each K in turn, the rows
 (w.images, R_K(w), dim_x, dim_xi) over W^K, straight from the depth-first
 search that carries ell(w), with R read off the references of
-`kernel.r_references`, computed once per K. No object is built per row,
+`kernel.r_references`, listed once per K. No object is built per row,
 so a caller that formats K once per group and writes the rows in
 fixed-size chunks (as `quadrics cells` does) holds one chunk at a time.
 `fixed_points` and `fixed_points_full_variety` list the same rows as
@@ -142,10 +146,15 @@ def per_orbit_sum(k: SimpleSubset, i_set: SimpleSubset) -> QPolynomial:
     return _cell_sum(k.n, k.mask, k.mask, i_set.mask & ~k.mask)
 
 
+@lru_cache(maxsize=None)
 def poincare_sum(i_set: SimpleSubset) -> QPolynomial:
     """Poincare polynomial of the subvariety indexed by special I, computed
     from its cell decomposition: the double sum over K contained in I and
-    w in W^K of q^(ell(w) + |K| + s_{K,I}(w)), in one census."""
+    w in W^K of q^(ell(w) + |K| + s_{K,I}(w)), in one census.
+
+    Remembered per I, since `verify` asks for the same I once in each of
+    its `km`, `duality` and `euler` checks. The memo holds one polynomial
+    per special I asked for."""
     require_special(i_set)
     return _cell_sum(i_set.n, 0, i_set.mask, i_set.mask)
 

@@ -33,11 +33,14 @@ The moves to rank r outside K take the suffix sum over the reference
 ranks s >= r, and the join moves out of one state are one product with
 q + ... + q^(p-1-s). A census is O(n^2) operations on integers of
 O(n^2 * n log n) bits, instead of a scan of all n! permutations per K.
+
+The engine keeps nothing between calls: each census is computed afresh
+and returned as a new dict. The one answer reports ask for again, the
+polynomial of a subvariety, is remembered by `cells.poincare_sum`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import factorial
 
 # the engine's name, as `quadrics.kernel_backend` and benchmark records report it
@@ -56,7 +59,6 @@ def _validate(n: int, forced: int, allowed: int, target: int) -> None:
         raise ValueError(f"forced mask {forced:#b} is not inside allowed {allowed:#b}")
 
 
-@lru_cache(maxsize=None)
 def r_references(n: int, k_members: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """(i, p) for each i outside K, where w(i+1) is compared with the
     one-line entry images[p]: p = i-2 (w(i-1)) if i-1 is in K, else i-1
@@ -67,15 +69,14 @@ def r_references(n: int, k_members: tuple[int, ...]) -> tuple[tuple[int, int], .
     )
 
 
-@lru_cache(maxsize=None)
 def cell_census(n: int, forced: int, allowed: int, target: int) -> dict[int, int]:
     """Tally the cells (K, w) by ell(w) + |K| + |R_K(w) intersect target|,
     over the special K with forced <= K <= allowed and w in W^K.
 
     Bit i-1 of a mask selects i; target bits inside K never count, since
     R_K(w) avoids K. forced = allowed = K is the census of one orbit, its
-    multiplicities summing to n!/2^|K|. Returns {exponent: multiplicity};
-    treat the dict as read-only, it is cached and shared between callers.
+    multiplicities summing to n!/2^|K|. Returns a new dict
+    {exponent: multiplicity}; nothing is kept between calls.
     """
     _validate(n, forced, allowed, target)
     size = n * (n - 1) // 2 + (allowed | target).bit_count() + 1

@@ -518,7 +518,11 @@ def _first_witness_members(
 def _block_carries_nondegenerate(m: int) -> bool:
     """The block test of the witness search: whether the fixed quadrics of
     an m-by-m block include a nondegenerate one. Only the sizes the search
-    asks about are solved and remembered."""
+    asks about are solved and remembered. The search calls it at each step
+    of its walk, so this memo stays although `fixed_quadric_space` has its
+    own: reading `fixed_quadric_space(m).has_nondegenerate` in the search
+    instead took `verify --n 18 --checks regularity` from 1.91 s to 2.11 s
+    (fresh processes, medians of 7 alternating runs, 2 vCPUs)."""
     return fixed_quadric_space(m).has_nondegenerate
 
 

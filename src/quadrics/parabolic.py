@@ -242,11 +242,10 @@ def minimal_coset_reps(k: SimpleSubset) -> list[Permutation]:
     return [Permutation(images) for images, _ in minimal_coset_rep_images(k)]
 
 
-@lru_cache(maxsize=None)
 def minimal_coset_rep_count(k: SimpleSubset) -> int:
     """|W^K|, by a recursive count rather than the n!/2^|K| formula, so it
     stays an independent cross-check of the latter. Only counts are kept,
-    one int per K and per reduced (n, K)."""
+    one int per reduced (n, K), in the memo of `_coset_rep_count`."""
     require_special(k)
     return _coset_rep_count(k.n, k.members)
 

@@ -548,8 +548,15 @@ def test_streamed_cells_csv_and_text_hold_no_listing(fmt, monkeypatch):
             "regularity I={15}: pass\nresult: 32768 passed, 0 failed\n",
             32768 * 35,
         ),
+        # 233 results over 2,731 (K, I) censuses; caching every census
+        # peaked near 11.8 MB
+        (
+            ("verify", "--n", "12", "--max-n", "12", "--checks", "closed-form"),
+            "closed-form I={11}: pass\nresult: 233 passed, 0 failed\n",
+            233 * 22,
+        ),
     ],
-    ids=["special", "verify"],
+    ids=["special", "verify", "verify-closed-form"],
 )
 def test_streamed_special_and_verify_hold_no_report(argv, tail, floor, monkeypatch):
     code, sink, peak = run_counted(monkeypatch, *argv)

@@ -104,23 +104,47 @@ def test_full_variety_is_the_sum_of_orbit_sums():
         assert poincare_full_variety(n) == by_k, n
 
 
+def count_censuses(monkeypatch):
+    """The arguments of every call of `cells.cell_census` from now on."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cell_census(*args)
+
+    monkeypatch.setattr(cells, "cell_census", counted)
+    return calls
+
+
 def test_each_cell_sum_is_one_census(monkeypatch, capsys):
     def no_loop_over_k(*args):
         raise AssertionError("the cell sum walked the orbits K one by one")
 
     monkeypatch.setattr(SimpleSubset, "subsets", no_loop_over_k)
     monkeypatch.setattr(cells, "enumerate_special", no_loop_over_k)
+    calls = count_censuses(monkeypatch)
+    poincare_sum.cache_clear()
     for compute in (
         lambda: poincare_sum(SimpleSubset(9, (1, 3, 5, 7))),
         lambda: poincare_full_variety(9),
     ):
-        cell_census.cache_clear()
+        calls.clear()
         compute()
-        assert cell_census.cache_info().misses == 1
-    cell_census.cache_clear()
+        assert len(calls) == 1
+    calls.clear()
     assert main(["poincare", "--n", "24", "--max-n", "24"]) == 0
     assert "degree: 299\n" in capsys.readouterr().out
-    assert cell_census.cache_info().misses == 1
+    assert len(calls) == 1
+
+
+def test_verify_runs_one_census_per_subvariety(monkeypatch, capsys):
+    # km, duality and euler each ask for the polynomial of every special I;
+    # the memo on poincare_sum answers the second and third
+    calls = count_censuses(monkeypatch)
+    poincare_sum.cache_clear()
+    assert main(["verify", "--n", "8", "--checks", "km,duality,euler"]) == 0
+    assert capsys.readouterr().out.endswith("result: 102 passed, 0 failed\n")
+    assert len(calls) == len(set(calls)) == 34
 
 
 def test_full_variety_up_to_n24():
@@ -161,8 +185,6 @@ def test_packed_census_matches_list_dp_up_to_n10():
                 assert cell_census(n, forced, allowed, target) == census_by_lists(
                     n, forced, allowed, target
                 ), (n, forced, allowed, target)
-        # 35,854 inputs at n = 10: keep the cache from holding them all
-        cell_census.cache_clear()
 
 
 def test_packed_full_variety_matches_list_dp_up_to_n24():

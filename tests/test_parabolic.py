@@ -8,6 +8,7 @@ import pytest
 from quadrics.parabolic import (
     NotSpecialError,
     SimpleSubset,
+    _coset_rep_count,
     _special_members,
     enumerate_special,
     is_minimal_rep,
@@ -224,7 +225,7 @@ def enumerated_coset_rep_counts(n):
 
 
 def test_recursive_count_matches_enumeration_oracle():
-    minimal_coset_rep_count.cache_clear()
+    _coset_rep_count.cache_clear()
     for n in range(1, 9):
         for k, expected in enumerated_coset_rep_counts(n).items():
             assert minimal_coset_rep_count(k) == expected, k
@@ -248,7 +249,7 @@ def test_minimal_coset_reps_in_lexicographic_order():
 
 
 def test_counting_coset_reps_stores_nothing():
-    minimal_coset_rep_count.cache_clear()
+    _coset_rep_count.cache_clear()
     tracemalloc.start()
     try:
         count = minimal_coset_rep_count(SimpleSubset(8, ()))
