@@ -19,7 +19,7 @@ and ignored, so the same invocation produces the same bytes for any value.
 A command imports only the layers it runs. `parabolic` (with
 `symmetric_group` under it) is imported here, since every command uses it,
 directly or through `nilfix`; `cells`, `qpoly` and `nilfix` are imported by _load in
-the commands and checks that run them (CHECK_LAYERS for verify), and `json`
+the commands and checks that run them (CHECKS for verify), and `json`
 by the JSON reports alone. The binding rule: each name cli calls from those
 three layers (_LAYERS) is a module global of cli, bound when a command
 first loads its layer and never rebound, so a name set on this module
@@ -38,6 +38,7 @@ from collections import Counter
 from functools import cache
 from importlib import import_module
 from itertools import chain, islice
+from typing import Callable, NamedTuple
 
 from quadrics.parabolic import (
     SimpleSubset,
@@ -106,23 +107,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_CAP = 3
 
-# each check with the layers it runs
-CHECK_LAYERS = {
-    "km": ("quadrics.cells",),
-    "descent": ("quadrics.cells",),
-    "closed-form": ("quadrics.cells",),
-    "duality": ("quadrics.cells", "quadrics.qpoly"),
-    "euler": ("quadrics.cells", "quadrics.qpoly"),
-    "height": ("quadrics.qpoly",),
-    "regularity": ("quadrics.nilfix",),
-    "fixed-quadrics": ("quadrics.nilfix",),
-}
-ALL_CHECKS = tuple(CHECK_LAYERS)
-# checks that respect the --max-n cap. Only descent walks W^K (all of S_n at
-# K = {}); km, closed-form, duality and euler take time polynomial in n per
-# subset, and share the cap until each command gets a cap for its own cost
-ENUMERATING_CHECKS = {"km", "descent", "closed-form", "duality", "euler"}
-
 FORMAT_ENV_VAR = "QUADRICS_FORMAT"
 FORMATS = ("text", "json", "csv")
 
@@ -131,15 +115,19 @@ class CapExceededError(Exception):
     pass
 
 
-def _check_cap(n: int, max_n: int) -> None:
-    """Refuse n below 1 as invalid input, then n above the cap."""
-    if n < 1:
-        raise ValueError("rank must be at least 1")
-    if n > max_n:
-        raise CapExceededError(
-            f"n={n} exceeds the enumeration cap max_n={max_n}; "
-            f"pass --max-n {n} to acknowledge the cost"
-        )
+def _load_capped(args: argparse.Namespace, *modules: str) -> None:
+    """Load the layers a command runs. The cell layer enumerates S_n, so a
+    command that runs it first refuses n below 1 as invalid input, then n
+    above --max-n: a command exits 3 exactly when it runs the cell layer."""
+    if "quadrics.cells" in modules:
+        if args.n < 1:
+            raise ValueError("rank must be at least 1")
+        if args.n > args.max_n:
+            raise CapExceededError(
+                f"n={args.n} exceeds the enumeration cap max_n={args.max_n}; "
+                f"pass --max-n {args.n} to acknowledge the cost"
+            )
+    _load(*modules)
 
 
 def _parse_subset(text: str, n: int) -> SimpleSubset:
@@ -241,11 +229,11 @@ def cmd_poincare(args: argparse.Namespace) -> int:
         )
     if subset is not None:
         require_special(subset)
-    if method in ("cells", "both"):
-        _check_cap(n, args.max_n)
-        _load("quadrics.cells")
-    if method in ("product", "both"):
-        _load("quadrics.qpoly")
+    _load_capped(args, *{
+        "cells": ("quadrics.cells",),
+        "product": ("quadrics.qpoly",),
+        "both": ("quadrics.cells", "quadrics.qpoly"),
+    }[method])
 
     product = product_formula(subset) if method in ("product", "both") else None
     if method == "product":
@@ -305,71 +293,87 @@ def cmd_poincare(args: argparse.Namespace) -> int:
 
 # --- verify --------------------------------------------------------------------
 
-def _verify_one(item) -> bool:
-    check, n, payload = item
-    if check == "km":
-        return verify_km(SimpleSubset(n, payload))
-    if check == "descent":
-        i_set = SimpleSubset(n, payload)
-        return all(descent_characterization_check(k, i_set) for k in i_set.subsets())
-    if check == "closed-form":
-        i_set = SimpleSubset(n, payload)
-        return all(per_orbit_closed_form_check(k, i_set) for k in i_set.subsets())
-    if check == "duality":
-        i_set = SimpleSubset(n, payload)
-        poly = poincare_sum(i_set)
-        return is_palindromic(poly) and poly.degree == n * (n - 1) // 2 + len(i_set)
-    if check == "euler":
-        i_set = SimpleSubset(n, payload)
-        size = len(i_set)
-        numerator = math.factorial(n) * 3**size
-        if numerator % 2**size:
-            return False
-        expected = numerator // 2**size
-        count = sum(minimal_coset_rep_count(k) for k in i_set.subsets())
-        return (
-            product_formula(i_set).evaluate_at_one()
-            == poincare_sum(i_set).evaluate_at_one()
-            == count
-            == expected
-        )
-    if check == "height":
-        return height_identity_check(n)
-    if check == "regularity":
-        i_set = SimpleSubset(n, payload)
-        return regularity_classifier(i_set).regular == i_set.is_special()
-    if check == "fixed-quadrics":
-        m = payload
-        space = fixed_quadric_space(m)
-        e = regular_nilpotent(m)
-        if not all(
-            infinitesimal_fixed_condition(e, b).is_zero() for b in space.basis
-        ):
-            return False
-        rows = fixed_system_rows(m)
-        ncols = m * (m + 1) // 2
-        forward = row_echelon_rank(rows)
-        backward = row_echelon_rank(rows, column_order=range(ncols - 1, -1, -1))
-        return forward == backward and space.dimension == ncols - forward
-    raise ValueError(f"unknown check {check!r}")
+def _i_items(special: bool):
+    """A check's report items (label, I): one per I, or per special I when
+    special, or the --subset I alone, refused here when special and it is
+    not."""
+    def items(n: int, subset):
+        if subset is not None:
+            if special:
+                require_special(subset)
+            return [(f"I={subset}", subset)]
+        universe = _special_members(1, n) if special else _lex_subsets(tuple(range(1, n)))
+        return ((f"I={_subset_str(m)}", SimpleSubset(n, m)) for m in universe)
+    return items
 
 
-def _verify_results(n: int, checks, subset, tally: Counter):
+def _duality(i_set: SimpleSubset) -> bool:
+    poly = poincare_sum(i_set)
+    n = i_set.n
+    return is_palindromic(poly) and poly.degree == n * (n - 1) // 2 + len(i_set)
+
+
+def _euler(i_set: SimpleSubset) -> bool:
+    n, size = i_set.n, len(i_set)
+    numerator = math.factorial(n) * 3**size
+    if numerator % 2**size:
+        return False
+    count = sum(minimal_coset_rep_count(k) for k in i_set.subsets())
+    return (
+        product_formula(i_set).evaluate_at_one()
+        == poincare_sum(i_set).evaluate_at_one()
+        == count
+        == numerator // 2**size
+    )
+
+
+def _fixed_quadrics(m: int) -> bool:
+    space = fixed_quadric_space(m)
+    e = regular_nilpotent(m)
+    if not all(infinitesimal_fixed_condition(e, b).is_zero() for b in space.basis):
+        return False
+    rows = fixed_system_rows(m)
+    ncols = m * (m + 1) // 2
+    forward = row_echelon_rank(rows)
+    backward = row_echelon_rank(rows, column_order=range(ncols - 1, -1, -1))
+    return forward == backward and space.dimension == ncols - forward
+
+
+class Check(NamedTuple):
+    """One verify check: the layers it runs, its report items (label,
+    payload) for n and --subset, and its test of one payload. The tests
+    look up each layer name on cli when called (the binding rule)."""
+
+    layers: tuple[str, ...]
+    items: Callable
+    test: Callable
+
+
+CHECKS = {
+    "km": Check(("quadrics.cells",), _i_items(True), lambda i_set: verify_km(i_set)),
+    "descent": Check(("quadrics.cells",), _i_items(True), lambda i_set: all(
+        descent_characterization_check(k, i_set) for k in i_set.subsets())),
+    "closed-form": Check(("quadrics.cells",), _i_items(True), lambda i_set: all(
+        per_orbit_closed_form_check(k, i_set) for k in i_set.subsets())),
+    "duality": Check(("quadrics.cells", "quadrics.qpoly"), _i_items(True), _duality),
+    "euler": Check(("quadrics.cells", "quadrics.qpoly"), _i_items(True), _euler),
+    "height": Check(("quadrics.qpoly",), lambda n, subset: [(f"n={n}", n)],
+                    lambda n: height_identity_check(n)),
+    "regularity": Check(("quadrics.nilfix",), _i_items(False), lambda i_set: (
+        regularity_classifier(i_set).regular == i_set.is_special())),
+    "fixed-quadrics": Check(("quadrics.nilfix",), lambda n, subset: (
+        (f"m={m}", m) for m in range(1, n + 1)), _fixed_quadrics),
+}
+ALL_CHECKS = tuple(CHECKS)
+
+
+def _verify_results(reports, tally: Counter):
     """(check, label, ok) for each item of the report in order, each item
     checked as the report reaches it; tally counts the oks."""
-    for check in checks:
-        if check == "height":
-            items = [(None, f"n={n}")]
-        elif check == "fixed-quadrics":
-            items = ((m, f"m={m}") for m in range(1, n + 1))
-        elif subset is not None:
-            items = [(subset.members, f"I={subset}")]
-        else:
-            every_i = check == "regularity"  # the other checks take the special I
-            universe = _lex_subsets(tuple(range(1, n))) if every_i else _special_members(1, n)
-            items = ((members, f"I={_subset_str(members)}") for members in universe)
-        for payload, label in items:
-            ok = _verify_one((check, n, payload))
+    for check, items in reports:
+        test = CHECKS[check].test
+        for label, payload in items:
+            ok = test(payload)
             tally[bool(ok)] += 1
             yield check, label, ok
 
@@ -388,16 +392,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if n < 1:
         raise ValueError("rank must be at least 1")
     subset = _parse_subset(args.subset, n) if args.subset is not None else None
-    if any(c in ENUMERATING_CHECKS for c in checks):
-        # every enumerating check needs a special I; regularity takes any I
-        if subset is not None:
-            require_special(subset)
-        _check_cap(n, args.max_n)
-
-    for check in checks:
-        _load(*CHECK_LAYERS[check])
+    # listing the items refuses a --subset that a check needs special
+    reports = [(check, CHECKS[check].items(n, subset)) for check in checks]
+    _load_capped(args, *chain.from_iterable(CHECKS[c].layers for c in checks))
     tally = Counter()
-    results = _verify_results(n, checks, subset, tally)
+    results = _verify_results(reports, tally)
     if args.format == "json":
         report = _verify_json(n, checks, results, tally)
     elif args.format == "csv":
@@ -442,8 +441,7 @@ def cmd_cells(args: argparse.Namespace) -> int:
     subset = _parse_subset(args.subset, n) if args.subset is not None else None
     if subset is not None:
         require_special(subset)
-    _check_cap(n, args.max_n)
-    _load("quadrics.cells")
+    _load_capped(args, "quadrics.cells")
     groups = fixed_point_rows(subset) if subset is not None else fixed_point_rows_full_variety(n)
     if args.format == "json":
         _emit(args, _cells_json(n, subset, groups))

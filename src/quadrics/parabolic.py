@@ -236,10 +236,11 @@ def _coset_rep_search(n: int, members: tuple[int, ...]) -> Iterator[tuple[tuple[
                 push((prefix + (value,), unplaced[:idx] + unplaced[idx + 1 :], length + idx))
 
 
-def minimal_coset_reps(k: SimpleSubset) -> list[Permutation]:
+def minimal_coset_reps(k: SimpleSubset) -> Iterator[Permutation]:
     """The set W^K = {w : w(i) < w(i+1) for all i in K} in lexicographic
-    one-line order; there are n!/2^|K| of them for special K."""
-    return [Permutation(images) for images, _ in minimal_coset_rep_images(k)]
+    one-line order, generated one at a time; there are n!/2^|K| of them
+    for special K. K is checked before the first item."""
+    return (Permutation(images) for images, _ in minimal_coset_rep_images(k))
 
 
 def minimal_coset_rep_count(k: SimpleSubset) -> int:
@@ -265,14 +266,3 @@ def _coset_rep_count(n: int, members: tuple[int, ...]) -> int:
             total += _coset_rep_count(n - 1, rest)
     return total
 
-
-__all__ = [
-    "NotSpecialError",
-    "SimpleSubset",
-    "enumerate_special",
-    "special_count",
-    "longest_element",
-    "is_minimal_rep",
-    "minimal_coset_rep_images",
-    "minimal_coset_reps",
-]

@@ -12,7 +12,6 @@ Conventions, shared by every module in this package:
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 from typing import Iterable
 
 
@@ -46,7 +45,7 @@ class Permutation:
             raise ValueError(f"index {i} out of range [1, {self.n}]")
         return self.images[i - 1]
 
-    @cached_property
+    @property
     def length(self) -> int:
         """Inversion count |{(i, j) : i < j, w(i) > w(j)}|."""
         images = self.images
@@ -54,7 +53,7 @@ class Permutation:
             1 for a, b in itertools.combinations(images, 2) if a > b
         )
 
-    @cached_property
+    @property
     def right_descents(self) -> tuple[int, ...]:
         """Positions i in [n-1] with w(i) > w(i+1).
 

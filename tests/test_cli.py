@@ -113,6 +113,16 @@ def test_invalid_subset_above_the_cap_is_invalid_input(command, subset, named, c
     assert "--max-n 12" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check", ALL_CHECKS)
+def test_a_check_meets_the_cap_exactly_when_it_runs_the_cell_layer(check, capsys):
+    runs_cells = check in ("km", "descent", "closed-form", "duality", "euler")
+    assert ("quadrics.cells" in cli.CHECKS[check].layers) == runs_cells
+    assert run_main(capsys, "verify", "--n", "10", "--checks", check)[0] == (3 if runs_cells else 0)
+    # those checks alone take a special I, so they alone refuse a --subset that is not
+    code = run_main(capsys, "verify", "--n", "5", "--checks", check, "--subset", "1,2")[0]
+    assert code == (2 if runs_cells else 0)
+
+
 SUBCOMMANDS = ("poincare", "verify", "cells", "special", "fixed-quadrics")
 
 
@@ -353,9 +363,9 @@ def verify_report_oracle(n, checks, subset, fmt):
     items = []
     for check in checks:
         if check == "height":
-            items.append((check, n, None, f"n={n}"))
+            items.append((check, n, f"n={n}"))
         elif check == "fixed-quadrics":
-            items += [(check, n, m, f"m={m}") for m in range(1, n + 1)]
+            items += [(check, m, f"m={m}") for m in range(1, n + 1)]
         else:
             if subset is not None:
                 universe = [subset]
@@ -363,10 +373,10 @@ def verify_report_oracle(n, checks, subset, fmt):
                 universe = list(SimpleSubset(n, range(1, n)).subsets())
             else:
                 universe = enumerate_special(n)
-            items += [(check, n, i_set.members, f"I={i_set}") for i_set in universe]
+            items += [(check, i_set, f"I={i_set}") for i_set in universe]
     for check in checks:
-        cli._load(*cli.CHECK_LAYERS[check])
-    results = [cli._verify_one(item[:3]) for item in items]
+        cli._load(*cli.CHECKS[check].layers)
+    results = [cli.CHECKS[check].test(payload) for check, payload, _ in items]
     passed = sum(1 for ok in results if ok)
     failed = len(results) - passed
     if fmt == "json":
@@ -374,7 +384,7 @@ def verify_report_oracle(n, checks, subset, fmt):
             "n": n,
             "checks": checks,
             "results": [
-                {"check": item[0], "label": item[3], "ok": ok}
+                {"check": item[0], "label": item[2], "ok": ok}
                 for item, ok in zip(items, results)
             ],
             "passed": passed,
@@ -385,10 +395,10 @@ def verify_report_oracle(n, checks, subset, fmt):
     if fmt == "csv":
         lines = ["check,label,ok"]
         for item, ok in zip(items, results):
-            lines.append(f"{item[0]},{item[3]},{'pass' if ok else 'FAIL'}")
+            lines.append(f"{item[0]},{item[2]},{'pass' if ok else 'FAIL'}")
         return "\n".join(lines) + "\n"
     lines = [
-        f"{item[0]} {item[3]}: {'pass' if ok else 'FAIL'}"
+        f"{item[0]} {item[2]}: {'pass' if ok else 'FAIL'}"
         for item, ok in zip(items, results)
     ]
     lines.append(f"result: {passed} passed, {failed} failed")
@@ -397,23 +407,23 @@ def verify_report_oracle(n, checks, subset, fmt):
 
 @pytest.fixture(scope="session")
 def verify_results():
-    """Each check's result per (check, n, payload), shared by the whole test run."""
+    """Each check's result per (check, payload), shared by the whole test run."""
     return {}
 
 
 @pytest.fixture
 def remembered_checks(verify_results, monkeypatch):
-    """cli._verify_one answering each item from verify_results, so the
-    report comparisons below run each check once, not once per format,
-    chunk size and output target."""
-    real = cli._verify_one
+    """Each cli.CHECKS test answering from verify_results, so the report
+    comparisons below run each check once, not once per format, chunk size
+    and output target."""
+    for check, entry in cli.CHECKS.items():
 
-    def remembered(item):
-        if item not in verify_results:
-            verify_results[item] = real(item)
-        return verify_results[item]
+        def remembered(payload, check=check, real=entry.test):
+            if (check, payload) not in verify_results:
+                verify_results[check, payload] = real(payload)
+            return verify_results[check, payload]
 
-    monkeypatch.setattr(cli, "_verify_one", remembered)
+        monkeypatch.setitem(cli.CHECKS, check, entry._replace(test=remembered))
 
 
 def special_and_verify_runs(fmt):
@@ -555,8 +565,14 @@ def test_streamed_cells_csv_and_text_hold_no_listing(fmt, monkeypatch):
             "closed-form I={11}: pass\nresult: 233 passed, 0 failed\n",
             233 * 22,
         ),
+        # the 40,320 reps of K = {}; holding them as a list peaked near 13.6 MB
+        (
+            ("verify", "--n", "8", "--checks", "descent", "--subset", "none"),
+            "descent I={}: pass\nresult: 1 passed, 0 failed\n",
+            40,
+        ),
     ],
-    ids=["special", "verify", "verify-closed-form"],
+    ids=["special", "verify", "verify-closed-form", "verify-descent"],
 )
 def test_streamed_special_and_verify_hold_no_report(argv, tail, floor, monkeypatch):
     code, sink, peak = run_counted(monkeypatch, *argv)
@@ -730,7 +746,7 @@ def test_no_command_starts_a_process(monkeypatch, capsys):
 def test_verify_failure_exit_code_is_one(monkeypatch, capsys):
     import quadrics.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod, "_verify_one", lambda item: False)
+    monkeypatch.setitem(cli_mod.CHECKS, "km", cli_mod.CHECKS["km"]._replace(test=lambda i_set: False))
     code = cli_mod.main(["verify", "--n", "3", "--checks", "km", "--jobs", "1"])
     out = capsys.readouterr().out
     assert code == 1

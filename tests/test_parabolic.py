@@ -153,15 +153,15 @@ def test_longest_element_is_longest_in_parabolic():
 
 
 def test_minimal_coset_reps_examples():
-    reps = minimal_coset_reps(SimpleSubset(3, (1,)))
+    reps = list(minimal_coset_reps(SimpleSubset(3, (1,))))
     assert [w.images for w in reps] == [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
     assert [w.length for w in reps] == [0, 1, 2]
-    reps = minimal_coset_reps(SimpleSubset(3, (2,)))
+    reps = list(minimal_coset_reps(SimpleSubset(3, (2,))))
     assert [w.images for w in reps] == [(1, 2, 3), (2, 1, 3), (3, 1, 2)]
     assert [w.length for w in reps] == [0, 1, 2]
-    assert len(minimal_coset_reps(SimpleSubset(3, ()))) == 6
+    assert len(list(minimal_coset_reps(SimpleSubset(3, ())))) == 6
     with pytest.raises(NotSpecialError):
-        minimal_coset_reps(SimpleSubset(4, (1, 2)))
+        minimal_coset_reps(SimpleSubset(4, (1, 2)))  # before iterating
     with pytest.raises(NotSpecialError):
         minimal_coset_rep_images(SimpleSubset(4, (1, 2)))  # before iterating
 
@@ -207,7 +207,7 @@ def test_minimal_coset_reps_cardinality():
         for k in enumerate_special(n):
             expected = math.factorial(n) // 2 ** len(k)
             assert minimal_coset_rep_count(k) == expected
-            assert len(minimal_coset_reps(k)) == expected
+            assert len(list(minimal_coset_reps(k))) == expected
 
 
 def enumerated_coset_rep_counts(n):
