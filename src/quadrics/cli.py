@@ -11,8 +11,10 @@ Subcommands:
                   one block size
 
 Exit codes: 0 success, 1 a requested check or verdict failed, 2 invalid
-input (including a bad $QUADRICS_FORMAT or an unwritable --out), 3 the
-S_n-enumeration cap was exceeded (raise it with --max-n).
+input (including a bad $QUADRICS_FORMAT or an unwritable --out), 3 n
+exceeds --max-n in a command that runs the cell layer (raise the cap with
+--max-n), 141 (128 + SIGPIPE) the reader closed stdout before the report
+ended, e.g. `| head`; nothing is printed then.
 Every command runs in one process. --jobs is accepted for compatibility
 and ignored, so the same invocation produces the same bytes for any value.
 
@@ -598,7 +600,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=9,
         dest="max_n",
-        help="cap on n for commands that enumerate S_n (default 9)",
+        help="cap on n for commands that run the cell layer: cells, poincare "
+        "--method cells or both, verify km, descent, closed-form, duality, euler "
+        "(default 9)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -656,6 +660,14 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    # a reader that stopped early (`| head`) is not invalid input: end as a
+    # process killed by SIGPIPE would, silently, with fd 1 on the null
+    # device so the interpreter's last flush of stdout cannot fail
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return 141
     # ValueError covers the package's own input errors; OSError is e.g. an
     # unwritable --out: bad input, not a failed check
     except (ValueError, OSError, *_loaded_arithmetic_errors()) as exc:

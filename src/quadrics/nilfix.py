@@ -468,62 +468,52 @@ def _first_witness_members(
     whose fixed flag of type K^c has only blocks of sizes m with
     block_ok(m), or None when no such K exists.
 
-    A run of r consecutive members of K makes one block of size r + 1; the
-    other n - |K| - runs blocks have size 1. A depth-first search walks
-    the members in order with the choices stop (K is what was taken),
-    take the next member, skip it, which visits the K in lexicographic
-    order. Its state is (next member, open run length, |K|, closed runs);
-    a state whose whole subtree fails is remembered in a set local to the
-    call, so each state is expanded at most once. The stack is explicit,
-    so the depth does not grow with the number of members.
+    A run of r consecutive members of K makes one block of size r + 1, and
+    every other position of [n] is a block of size 1.
+
+    When block_ok(1) holds, the first run of a passing K passes on its own
+    and is a prefix of K, so the first K is one run: the earliest stretch
+    of consecutive members that reaches a passing size, cut at the shortest
+    passing size. A size is tested when a stretch first reaches it.
+
+    Otherwise the blocks tile [n] with sizes at least 2, so K is [n-1]
+    minus the cuts between blocks. The block after a cut holds a later
+    member of K, so a K that includes a member sorts before one that cuts
+    it, and the first K makes each block as long as the rest of [n] can
+    still be tiled. longest[a] is that length for a block starting at a,
+    0 when none fits; it is filled in from the right, then walked.
     """
-    end = len(members)
-    dead: set[tuple[int, int, int, int]] = set()
-    chosen: list[int] = []
-    # frames [state, next choice: 0 stop, 1 take, 2 skip, 3 done, taken?].
-    # Only a take child tries stop, so its run is open: the root's K is
-    # empty, and a skip child's stop is the K its parent tried.
-    stack = [[(0, 0, 0, 0), 1, False]]
-    while stack:
-        frame = stack[-1]
-        state, choice, taken = frame
-        at, run, size, runs = state
-        frame[1] += 1
-        if choice == 0:
-            if block_ok(run + 1) and (size + runs + 1 == n or block_ok(1)):
-                return tuple(chosen)
-            continue
-        if choice == 3 or at == end:
-            dead.add(state)
-            stack.pop()
-            if taken:
-                chosen.pop()
-            continue
-        extends = run > 0 and members[at] == members[at - 1] + 1
-        if run and not (choice == 1 and extends) and not block_ok(run + 1):
-            continue
-        closed = runs + (run > 0)
-        if choice == 1:
-            child = (at + 1, run + 1, size + 1, runs) if extends else (at + 1, 1, size + 1, closed)
-        else:
-            child = (at + 1, 0, size, closed)
-        if child not in dead:
-            stack.append([child, 0 if choice == 1 else 1, choice == 1])
-            if choice == 1:
-                chosen.append(members[at])
-    return None
-
-
-@lru_cache(maxsize=None)
-def _block_carries_nondegenerate(m: int) -> bool:
-    """The block test of the witness search: whether the fixed quadrics of
-    an m-by-m block include a nondegenerate one. Only the sizes the search
-    asks about are solved and remembered. The search calls it at each step
-    of its walk, so this memo stays although `fixed_quadric_space` has its
-    own: reading `fixed_quadric_space(m).has_nondegenerate` in the search
-    instead took `verify --n 18 --checks regularity` from 1.91 s to 2.11 s
-    (fresh processes, medians of 7 alternating runs, 2 vCPUs)."""
-    return fixed_quadric_space(m).has_nondegenerate
+    if block_ok(1):
+        tested = run = prev = 0
+        for i in members:
+            run = run + 1 if i == prev + 1 else 1
+            prev = i
+            if run > tested:
+                tested = run
+                if block_ok(run + 1):
+                    return tuple(range(i - run + 1, i + 1))
+        return None
+    inside = set(members)
+    passes = [False, False]
+    longest = [0] * (n + 1)
+    reach = 0
+    for a in range(n, 0, -1):
+        # reach: how many of a, a + 1, ... are members in a row, so a block
+        # starting at a spans at most reach + 1 positions
+        reach = reach + 1 if a in inside else 0
+        while len(passes) <= reach + 1:
+            passes.append(block_ok(len(passes)))
+        longest[a] = next(
+            (m for m in range(reach + 1, 1, -1) if passes[m] and (a + m > n or longest[a + m])), 0
+        )
+    if not longest[1]:
+        return None
+    found: list[int] = []
+    a = 1
+    while a <= n:
+        found.extend(range(a, a + longest[a] - 1))
+        a += longest[a]
+    return tuple(found)
 
 
 @lru_cache(maxsize=4096)
@@ -532,26 +522,17 @@ def _witness(n: int, found: tuple[int, ...]) -> RegularityWitness:
     its fixed flag whose fixed quadrics form a family of dimension at
     least 2, else its first block of size at least 2. Many I share their
     first K, so the witness is assembled once per (n, K)."""
-    sizes = block_sizes(n, found)
     start = 1
-    chosen: Optional[tuple[int, int]] = None
-    for m in sizes:
+    fallback = None
+    for m in block_sizes(n, found):
         if fixed_quadric_space(m).dimension >= 2:
-            chosen = (start, m)
             break
+        if fallback is None and m >= 2:
+            fallback = (start, m)
         start += m
-    if chosen is None:
-        start = 1
-        for m in sizes:
-            if m >= 2:
-                chosen = (start, m)
-                break
-            start += m
-    assert chosen is not None
-    block_start, block_size = chosen
-    return RegularityWitness(
-        SimpleSubset(n, found), block_start, block_size, fixed_quadric_space(block_size)
-    )
+    else:
+        start, m = fallback
+    return RegularityWitness(SimpleSubset(n, found), start, m, fixed_quadric_space(m))
 
 
 def regularity_classifier(i_set: SimpleSubset) -> RegularityResult:
@@ -565,12 +546,14 @@ def regularity_classifier(i_set: SimpleSubset) -> RegularityResult:
     fixed_quadric_space(m).has_nondegenerate. K = empty contributes the
     single base point (all blocks of size 1); any other contributing K is a
     witness against regularity, and the witness reported is the first in
-    the order of I.subsets(), found by a search over the members of I
-    rather than by listing its subsets. I is deliberately not assumed
+    the order of I.subsets(), read off the runs of the members of I rather
+    than by listing its subsets. I is deliberately not assumed
     special: agreement of this classifier with the no-consecutive-members
     test is a theorem, re-proved here computationally.
     """
-    found = _first_witness_members(i_set.n, i_set.members, _block_carries_nondegenerate)
+    found = _first_witness_members(
+        i_set.n, i_set.members, lambda m: fixed_quadric_space(m).has_nondegenerate
+    )
     if found is None:
         return RegularityResult(True, None)
     return RegularityResult(False, _witness(i_set.n, found))

@@ -689,6 +689,25 @@ def test_out_to_missing_directory_is_invalid_input(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_closed_stdout_pipe_exits_141_silently():
+    # `special --n 26 | head -1`: the report is megabytes, so the writer
+    # meets the closed pipe; a reader that stopped early is not bad input
+    env = dict(os.environ)
+    env.pop("QUADRICS_FORMAT", None)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "quadrics.cli", "special", "--n", "26"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert child.stdout.readline() == b"{}\n"
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 141
+    assert err == b""
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out = run_main(

@@ -202,7 +202,6 @@ def fresh_fixed_quadric_cache():
 
     def clear():
         fixed_quadric_space.cache_clear()
-        nilfix._block_carries_nondegenerate.cache_clear()
         nilfix._witness.cache_clear()
 
     clear()
@@ -422,13 +421,10 @@ def test_classifier_matches_enumeration_oracle():
 
 def test_witness_search_matches_enumeration_for_any_block_rule():
     # the search must not lean on which block sizes happen to pass: for
-    # random rules, including ones that reject blocks of size 1, it finds
-    # the same first K as walking the subsets
-    rng = random.Random(11)
-    for _ in range(400):
-        allowed = {m for m in range(1, 12) if rng.random() < 0.5}
-        n = rng.randint(1, 10)
-        members = tuple(sorted(rng.sample(range(1, n), rng.randint(0, n - 1))))
+    # every rule on the sizes 1..n with n <= 7, and for random rules up to
+    # n = 10, including ones that reject blocks of size 1, it finds the
+    # same first K as walking the subsets
+    def check(n, members, allowed):
         expected = next(
             (
                 k.members
@@ -439,11 +435,22 @@ def test_witness_search_matches_enumeration_for_any_block_rule():
         )
         assert nilfix._first_witness_members(n, members, allowed.__contains__) == expected
 
+    for n in range(1, 8):
+        for rule in range(1 << n):
+            allowed = {m for m in range(1, n + 1) if rule >> (m - 1) & 1}
+            for i_set in every_subset(n):
+                check(n, i_set.members, allowed)
+    rng = random.Random(11)
+    for _ in range(400):
+        allowed = {m for m in range(1, 12) if rng.random() < 0.5}
+        n = rng.randint(1, 10)
+        check(n, tuple(sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))), allowed)
+
 
 def test_witness_search_remembers_failed_states():
     # only blocks of size 2 allowed: the one candidate K = {1, 3, ..., 39}
-    # needs 39, which is missing, so every branch fails; without the memo
-    # of failed states the search would revisit Fibonacci-many prefixes
+    # needs 39, which is missing, so no K passes; the search must still
+    # make few block tests, not one per prefix of the Fibonacci-many K
     calls = 0
 
     def only_pairs(m):
@@ -467,6 +474,11 @@ def test_classifier_does_not_list_subsets(monkeypatch):
     assert regularity_classifier(special) == RegularityResult(True, None)
     assert regularity_classifier(non_special) == expected
     assert expected.witness.k == SimpleSubset(16, (11, 12))
+    # n = 2000 is far beyond the oracle, so these expectations are by hand
+    assert regularity_classifier(SimpleSubset(2000, range(1, 2000))) == RegularityResult(
+        False, RegularityWitness(SimpleSubset(2000, (1, 2)), 1, 3, fixed_quadric_space(3))
+    )
+    assert regularity_classifier(SimpleSubset(2000, range(1, 2000, 2))) == RegularityResult(True, None)
 
 
 def test_fixed_quadric_space_is_cached_value_object():
