@@ -49,6 +49,7 @@ from quadrics.parabolic import (
     minimal_coset_rep_count,
     require_special,
     special_count,
+    subset_str,
 )
 from quadrics.symmetric_group import one_line_separator
 
@@ -126,8 +127,8 @@ def _load_capped(args: argparse.Namespace, *modules: str) -> None:
             raise ValueError("rank must be at least 1")
         if args.n > args.max_n:
             raise CapExceededError(
-                f"n={args.n} exceeds the enumeration cap max_n={args.max_n}; "
-                f"pass --max-n {args.n} to acknowledge the cost"
+                f"n={args.n} exceeds --max-n {args.max_n}, the cap on commands that "
+                f"run the cell layer; pass --max-n {args.n} to acknowledge the cost"
             )
     _load(*modules)
 
@@ -213,10 +214,6 @@ def _json_ints(values, indent: str) -> str:
 # is unused but stays positional because the tracer reads it.
 def _pmap(fn, items, jobs: int) -> list:
     return [fn(item) for item in items]
-
-
-def _subset_str(members) -> str:
-    return "{" + ",".join(str(i) for i in members) + "}"
 
 
 # --- poincare ----------------------------------------------------------------
@@ -305,7 +302,7 @@ def _i_items(special: bool):
                 require_special(subset)
             return [(f"I={subset}", subset)]
         universe = _special_members(1, n) if special else _lex_subsets(tuple(range(1, n)))
-        return ((f"I={_subset_str(m)}", SimpleSubset(n, m)) for m in universe)
+        return ((f"I={subset_str(m)}", SimpleSubset(n, m)) for m in universe)
     return items
 
 
@@ -495,7 +492,7 @@ def _cells_csv(n: int, groups):
 
 def _cells_text(n: int, groups):
     w_format = _images_format(n, one_line_separator(n))
-    r_fields = cache(_subset_str)
+    r_fields = cache(subset_str)
     count = 0
     for k, rows in groups:
         head = f"K={k} w="
@@ -533,7 +530,7 @@ def cmd_special(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         _emit(args, chain(["I\n"], (";".join(map(str, m)) + "\n" for m in members)))
     else:
-        _emit(args, (_subset_str(m) + "\n" for m in members))
+        _emit(args, (subset_str(m) + "\n" for m in members))
     return EXIT_OK
 
 

@@ -14,18 +14,19 @@ and the classifier rediscovers that by linear algebra alone.
 
 The classifier reads each block of the flag of type K^c fixed by e off
 block_sizes; that this flag is unique is checked by the tests, which
-count the e-stable flags over F_p. The rank of the fixed-quadric system
-is computed fraction-free on integer rows; the tests compare it with a
+count the e-stable flags over F_p. The fixed-quadric system is kept in
+one format, sparse integer rows {column: coefficient}: the anti-diagonal
+solve splits them by anti-diagonal, and the rank reduces them
+fraction-free; the tests widen them into dense rows for a solve and a
 rank over the rationals.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import defaultdict
+import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from quadrics.parabolic import SimpleSubset
 
@@ -154,63 +155,35 @@ def infinitesimal_fixed_condition(e: RationalMatrix, a: RationalMatrix) -> Ratio
 
 # --- exact elimination helpers -------------------------------------------
 
-def row_echelon_rank(rows: Sequence[Sequence[int]], column_order: Optional[Sequence[int]] = None) -> int:
-    """Rank of an integer matrix by fraction-free forward elimination,
-    visiting columns in the given order (the fixed-quadrics check also
-    runs the reversed order, as an independent route).
+def row_echelon_rank(rows: Sequence[dict[int, int]], column_order: Optional[Sequence[int]] = None) -> int:
+    """Rank of an integer matrix given as sparse rows {column: coefficient},
+    by fraction-free forward elimination with leading columns taken in the
+    given order, ascending when none is given (the fixed-quadrics check
+    also runs the reversed order, as an independent route).
 
-    Each row is kept as its non-zero entries, and each column knows the
-    rows that are non-zero there, so a pivot step updates only the rows
-    holding the pivot column, each over the pivot row's support. A pivot of
-    absolute value 1 is preferred; when the pivot p does not divide a row's
-    entry a, that row becomes p * row - a * pivot row, still in integers.
+    Each row is reduced against the pivot rows found so far, leading column
+    first: with p the pivot row's entry and a the row's, the row becomes
+    p * row - a * pivot row, divided by the gcd of its entries. A row that
+    vanishes adds nothing; one that leads in a column with no pivot row
+    becomes that column's pivot row. The rank is the number of pivot rows.
     """
-    if not all(set(map(type, row)) <= {int} for row in rows):
+    if not all(set(map(type, row.values())) <= {int} for row in rows):
         raise TypeError("row_echelon_rank takes rows of ints")
-    if not rows:
-        return 0
-    live: dict[int, dict[int, int]] = {}
-    holders: defaultdict[int, set[int]] = defaultdict(set)
-    for r, row in enumerate(rows):
-        terms = dict(itertools.compress(enumerate(row), row))
-        if terms:
-            live[r] = terms
-            for c in terms:
-                holders[c].add(r)
-    order = range(len(rows[0])) if column_order is None else column_order
-    rank = 0
-    for col in order:
-        ids = holders.pop(col, None)
-        if not ids:
-            continue
-        top = min(ids, key=lambda r: (abs(live[r][col]) != 1, r))
-        pivot = live.pop(top)
-        p = pivot.pop(col)
-        for c in pivot:
-            holders[c].discard(top)
-        rank += 1
-        for r in ids:
-            if r == top:
-                continue
-            row = live[r]
-            a = row.pop(col)
-            f, rest = divmod(a, p)
-            if rest:
-                for c in row:
-                    row[c] *= p
-                f = a
-            for c, x in pivot.items():
-                value = row.get(c, 0) - f * x
-                if value:
-                    if c not in row:
-                        holders[c].add(r)
-                    row[c] = value
-                elif c in row:
-                    del row[c]
-                    holders[c].discard(r)
-            if not row:
-                del live[r]
-    return rank
+    key = None if column_order is None else {c: k for k, c in enumerate(column_order)}.__getitem__
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = {c: x for c, x in row.items() if x}
+        while row:
+            lead = min(row, key=key)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            p, a = pivot[lead], row[lead]
+            row = {c: p * row.get(c, 0) - a * pivot.get(c, 0) for c in row.keys() | pivot.keys()}
+            g = math.gcd(*row.values())
+            row = {c: x // g for c, x in row.items() if x}
+    return len(pivots)
 
 
 def nullspace_basis(rows: Sequence[Sequence[object]], ncols: int) -> list[tuple[Fraction, ...]]:
@@ -271,18 +244,19 @@ def _sym_pairs(m: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(m) for j in range(i, m)]
 
 
-def _fixed_system_terms(m: int) -> Iterator[dict[int, int]]:
+def fixed_system_rows(m: int) -> list[dict[int, int]]:
     """The equations of e^T A + A e = 0 with i <= j, each as its non-zero
     terms {column: coefficient} in the upper-triangle coordinates of a
     symmetric m-by-m matrix A.
 
     (e^T A + A e)[i][j] = A[i-1][j] + A[i][j-1] with out-of-range entries
     zero; the result is symmetric, so only the equations with i <= j are
-    emitted. Both terms lie on the anti-diagonal i + j - 1; on the diagonal
+    kept. Both terms lie on the anti-diagonal i + j - 1; on the diagonal
     (i = j) they are one entry, with coefficient 2.
     """
     pairs = _sym_pairs(m)
     index = {pair: t for t, pair in enumerate(pairs)}
+    rows = []
     for (i, j) in pairs:
         terms: dict[int, int] = {}
         for (a, b) in ((i - 1, j), (i, j - 1)):
@@ -290,27 +264,15 @@ def _fixed_system_terms(m: int) -> Iterator[dict[int, int]]:
                 t = index[(a, b) if a <= b else (b, a)]
                 terms[t] = terms.get(t, 0) + 1
         if terms:
-            yield terms
-
-
-def fixed_system_rows(m: int) -> list[list[int]]:
-    """Dense rows of the linear system e^T A + A e = 0 in the upper-triangle
-    coordinates of a symmetric m-by-m matrix A, one per equation of
-    _fixed_system_terms."""
-    ncols = m * (m + 1) // 2
-    rows = []
-    for terms in _fixed_system_terms(m):
-        row = [0] * ncols
-        for t, x in terms.items():
-            row[t] = x
-        rows.append(row)
+            rows.append(terms)
     return rows
 
 
 def anti_diagonal_basis(m: int) -> list[tuple[Fraction, ...]]:
-    """The basis nullspace_basis(fixed_system_rows(m), m(m+1)/2) returns,
-    the same vectors in the same order with the same signs, solved one
-    anti-diagonal at a time in O(m^2) instead of by dense elimination.
+    """The basis nullspace_basis returns on fixed_system_rows(m) widened to
+    dense rows of m(m+1)/2 columns, the same vectors in the same order with
+    the same signs, solved one anti-diagonal at a time in O(m^2) instead of
+    by dense elimination.
 
     Each equation involves one anti-diagonal s = i + j only, so the system
     splits into one small system per s, on at most ceil(m/2) unknowns. Its
@@ -332,7 +294,7 @@ def anti_diagonal_basis(m: int) -> list[tuple[Fraction, ...]]:
     for t, (i, j) in enumerate(pairs):
         chains[i + j].append(t)
     equations: list[list[dict[int, int]]] = [[] for _ in chains]
-    for terms in _fixed_system_terms(m):
+    for terms in fixed_system_rows(m):
         i, j = pairs[next(iter(terms))]
         equations[i + j].append(terms)
     zero = Fraction(0)

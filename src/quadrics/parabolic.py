@@ -112,7 +112,13 @@ class SimpleSubset:
         return f"SimpleSubset({self.n}, {self.members!r})"
 
     def __str__(self) -> str:
-        return "{" + ",".join(str(i) for i in self.members) + "}"
+        return subset_str(self.members)
+
+
+def subset_str(members: Iterable[int]) -> str:
+    """The members as a set, e.g. {1,3}: the label of a subset in every
+    report."""
+    return "{" + ",".join(map(str, members)) + "}"
 
 
 def _lex_chains(items: tuple[int, ...], gap: int) -> Iterator[tuple[int, ...]]:

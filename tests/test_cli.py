@@ -93,6 +93,10 @@ def test_cap_exceeded_and_override():
     code, out, err = run_cli("poincare", "--n", "10")
     assert code == 3
     assert "max-n" in err or "max_n" in err
+    # the cap is stated by its one rule; the census behind poincare enumerates nothing
+    assert "exceeds --max-n 9, the cap on commands that run the cell layer" in err
+    assert "pass --max-n 10" in err
+    assert "enumeration" not in err
     code, out, err = run_cli("poincare", "--n", "10", "--method", "product", "--subset", "none")
     assert code == 0  # closed form does not enumerate S_n
 
