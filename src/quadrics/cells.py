@@ -16,9 +16,9 @@ comparing that sum with the closed product form is the generalized
 Kostant-Macdonald identity this package verifies.
 
 `r_set` is that weight-vector definition of R_K(w); the descent check
-evaluates R through it, and so do the tests, which also build the cell
-dimensions from it one (K, w) at a time. The cell sums and the
-fixed-point listings use the equivalent local comparison of
+evaluates R through it once per (K, w), and so do the tests, which also
+build the cell dimensions from it one (K, w) at a time. The cell sums and
+the fixed-point listings use the equivalent local comparison of
 `quadrics.kernel` instead, with `r_set` as its test oracle. Each cell
 sum is one call of `kernel.cell_census`, which folds the choice of K
 into its DP: one orbit K is the interval K <= K <= K, the subvariety
@@ -32,9 +32,9 @@ closed-form check are never asked for twice and are not kept.
 The listings are generated as plain rows (`fixed_point_rows`,
 `fixed_point_rows_full_variety`): for each K in turn, the rows
 (w.images, R_K(w), dim_x, dim_xi) over W^K, straight from the depth-first
-search that carries ell(w), with R read off the references of
-`kernel.r_references`, listed once per K. No object is built per row,
-so a caller that formats K once per group and writes the rows in
+search, which carries ell(w) and, as its hits against the references of
+`kernel.r_references` (listed once per K), R_K(w). No object is built
+per row, so a caller that formats K once per group and writes the rows in
 fixed-size chunks (as `quadrics cells` does) holds one chunk at a time.
 `fixed_points` and `fixed_points_full_variety` list the same rows as
 CellRecord objects.
@@ -86,13 +86,6 @@ class CellRecord(NamedTuple):
     dim_xi: Optional[int] = None
 
 
-def _require_rep(k: SimpleSubset, w: Permutation) -> None:
-    if w.n != k.n:
-        raise ValueError(f"rank mismatch: {k.n} vs {w.n}")
-    if not is_minimal_rep(k, w):
-        raise NotMinimalRepError(f"{w!r} has a descent inside {k}")
-
-
 def pairing_vector(k: SimpleSubset, i: int) -> WeightVector:
     """alpha_i + w_{0,K}(alpha_i), the weight whose sign after applying w
     decides whether i enters R_K(w)."""
@@ -102,12 +95,14 @@ def pairing_vector(k: SimpleSubset, i: int) -> WeightVector:
 
 
 @lru_cache(maxsize=None)
-def _pairing_supports(k: SimpleSubset) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """(i, nonzero (j - 1, c_j) of pairing_vector(k, i)) for each i outside
-    K, with j - 1 the 0-based position of the coefficient."""
+def _pairing_supports(k: SimpleSubset) -> tuple[tuple[int, tuple[int, ...], frozenset[int]], ...]:
+    """(i, positions, negative) for each i outside K: the 0-based positions
+    j - 1 of the nonzero coefficients c_j of pairing_vector(k, i), and
+    those of them where c_j < 0."""
+    vectors = ((i, pairing_vector(k, i).coeffs) for i in k.complement())
     return tuple(
-        (i, tuple((j, c) for j, c in enumerate(pairing_vector(k, i).coeffs) if c))
-        for i in k.complement()
+        (i, tuple(j for j, c in enumerate(v) if c), frozenset(j for j, c in enumerate(v) if c < 0))
+        for i, v in vectors
     )
 
 
@@ -120,13 +115,14 @@ def r_set(k: SimpleSubset, w: Permutation) -> tuple[int, ...]:
     smallest image w(j).
     """
     require_special(k)
-    _require_rep(k, w)
-    images = w.images
-    return tuple(
-        i
-        for i, support in _pairing_supports(k)
-        if min(support, key=lambda jc: images[jc[0]])[1] < 0
-    )
+    if not is_minimal_rep(k, w):  # refuses a rank mismatch first
+        raise NotMinimalRepError(f"{w!r} has a descent inside {k}")
+    image = w.images.__getitem__
+    r = []
+    for i, positions, negative in _pairing_supports(k):
+        if min(positions, key=image) in negative:
+            r.append(i)
+    return tuple(r)
 
 
 def _cell_sum(n: int, forced: int, allowed: int, target: int) -> QPolynomial:
@@ -274,10 +270,8 @@ def _rows(
 def _orbit_rows(k: SimpleSubset, outside: Optional[frozenset[int]]) -> Iterator[Row]:
     """Rows over W^K: R by the local rule of `kernel`, ell(w) as carried by
     the search, and dim_xi when the complement of I is given."""
-    references = r_references(k.n, k.members)
     base = len(k)
-    for images, length in minimal_coset_rep_images(k):
-        r = tuple([i for i, p in references if images[i] < images[p]])
+    for images, length, r in minimal_coset_rep_images(k, r_references(k.n, k.members)):
         dim_x = length + base + len(r)
         yield images, r, dim_x, None if outside is None else dim_x - len(outside.intersection(r))
 

@@ -462,21 +462,21 @@ def _cells_json(n: int, subset, groups):
     w_format = _images_format(n, ",\n        ")
     r_fields = cache(lambda r: _json_ints(r, "      "))
 
-    def records():
-        for k, rows in groups:
-            head = f'    {{\n      "K": {_json_ints(k.members, "      ")},\n      "w": [\n        '
-            for images, r, dim_x, dim_xi in rows:
-                yield (
-                    f"{head}{w_format % images}\n      ],\n"
-                    f'      "R": {r_fields(r)},\n'
-                    f'      "dim_X": {dim_x},\n'
-                    f'      "dim_XI": {"null" if dim_xi is None else dim_xi}\n'
-                    "    }"
-                )
-
     yield f'{{\n  "n": {n},\n  "subset": {subset_field},\n  "records": [\n'
-    yield from _json_items(records())
-    yield "  ]\n}\n"
+    # every record but the first opens with the comma ending the one before
+    separator = ""
+    for k, rows in groups:
+        head = f'    {{\n      "K": {_json_ints(k.members, "      ")},\n      "w": [\n        '
+        for images, r, dim_x, dim_xi in rows:
+            yield (
+                f"{separator}{head}{w_format % images}\n      ],\n"
+                f'      "R": {r_fields(r)},\n'
+                f'      "dim_X": {dim_x},\n'
+                f'      "dim_XI": {"null" if dim_xi is None else dim_xi}\n'
+                "    }"
+            )
+            separator = ",\n"
+    yield "\n  ]\n}\n"
 
 
 def _cells_csv(n: int, groups):

@@ -15,13 +15,15 @@ W^K is generated directly, never by filtering S_n: a depth-first search
 fills the one-line images left to right in increasing order of value,
 placing a value at position p+1 only above w(p) when p is in K. The
 search carries ell(w) as the sum of the Lehmer-code digits, the index of
-each chosen value among those still unplaced, and keeps at most
-n(n+1)/2 partial permutations pending.
+each chosen value among those still unplaced, and, given pairs (i, p),
+the hits: the i with images[i] < images[p], each decided as index i is
+placed. It keeps at most n(n+1)/2 partial permutations pending.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import sub
 from typing import Iterable, Iterator
 
 from quadrics.symmetric_group import Permutation
@@ -56,10 +58,12 @@ class SimpleSubset:
                     raise ValueError(f"member {m} out of range [1, {n - 1}]")
         self.n = n
         self.members = members
+        # settled once, as r_set asks per coset rep; members increase, so a gap of 1 is a consecutive pair
+        self._special = 1 not in map(sub, members[1:], members)
 
     def is_special(self) -> bool:
         """True when no two members are consecutive integers."""
-        return all(b - a >= 2 for a, b in zip(self.members, self.members[1:]))
+        return self._special
 
     def complement(self) -> tuple[int, ...]:
         """[n-1] minus this subset, increasing."""
@@ -196,57 +200,78 @@ def longest_element(k: SimpleSubset) -> Permutation:
 def is_minimal_rep(k: SimpleSubset, w: Permutation) -> bool:
     """True when w is the shortest element of its coset w W_K, i.e. has no
     descent inside K."""
-    if w.n != k.n:
-        raise ValueError(f"rank mismatch: {k.n} vs {w.n}")
-    return all(w.images[i - 1] < w.images[i] for i in k.members)
+    images = w.images
+    if len(images) != k.n:
+        raise ValueError(f"rank mismatch: {k.n} vs {len(images)}")
+    for i in k.members:  # a plain loop: r_set asks once per coset rep
+        if images[i - 1] > images[i]:
+            return False
+    return True
 
 
-def minimal_coset_rep_images(k: SimpleSubset) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(w.images, ell(w)) for each w in W^K, in lexicographic one-line
-    order, generated one at a time. K is checked before the first item.
+# One item of the W^K search: (w.images, ell(w), hits).
+CosetRep = tuple[tuple[int, ...], int, tuple[int, ...]]
 
-    >>> list(minimal_coset_rep_images(SimpleSubset(3, (1,))))
-    [((1, 2, 3), 0), ((1, 3, 2), 1), ((2, 3, 1), 2)]
+
+def minimal_coset_rep_images(k: SimpleSubset, references: Iterable[tuple[int, int]] = ()) -> Iterator[CosetRep]:
+    """(w.images, ell(w), hits) for each w in W^K, in lexicographic one-line
+    order, generated one at a time. references holds (i, p) pairs with
+    p < i, each i at most once, in the form `kernel.r_references` returns;
+    hits holds the i, ascending, with images[i] < images[p]. K is checked
+    before the first item.
+
+    >>> list(minimal_coset_rep_images(SimpleSubset(3, (1,)), [(2, 0)]))
+    [((1, 2, 3), 0, ()), ((1, 3, 2), 1, ()), ((2, 3, 1), 2, (2,))]
     """
     require_special(k)
-    return _coset_rep_search(k.n, k.members)
+    return _coset_rep_search(k.n, k.members, references)
 
 
-def _coset_rep_search(n: int, members: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
+def _coset_rep_search(n: int, members: tuple[int, ...], references: Iterable[tuple[int, int]]) -> Iterator[CosetRep]:
     if n == 1:
-        yield (1,), 0
+        yield (1,), 0, ()
         return
     # ascent[p]: position p is in K, so w(p+1) must exceed w(p)
     ascent = [False] * (n + 1)
     for i in members:
         ascent[i] = True
-    # (prefix, unplaced values in increasing order, inversions so far);
-    # children are pushed largest value first so the smallest pops first
-    stack = [((), tuple(range(1, n + 1)), 0)]
+    against = list(map(dict(references).get, range(n)))  # i: the index images[i] is compared with, or None
+    last = against[-1]
+    # (prefix, unplaced values in increasing order, inversions so far, hits
+    # so far); children are pushed largest value first so the smallest pops first
+    stack = [((), tuple(range(1, n + 1)), 0, ())]
     pop, push = stack.pop, stack.append
     while stack:
-        prefix, unplaced, length = pop()
+        prefix, unplaced, length, hits = pop()
         p = len(prefix)
         floor = prefix[-1] if ascent[p] else 0
+        # a value placed at index p is a hit when below top
+        top = 0 if (j := against[p]) is None else prefix[j]
         if len(unplaced) == 2:
-            # the last two values are placed together, one stack entry per pair of leaves
+            # the last two values are placed together, one stack entry per pair
+            # of leaves; index p+1 is compared with index p or below top_last
             a, b = unplaced
+            top_last = 0 if last is None or last == p else prefix[last]
             if a > floor:
-                yield prefix + (a, b), length
+                tail = hits + (p,) if a < top else hits
+                yield prefix + (a, b), length, (tail + (p + 1,) if b < top_last else tail)
             if b > floor and not ascent[p + 1]:
-                yield prefix + (b, a), length + 1
+                tail = hits + (p,) if b < top else hits
+                yield prefix + (b, a), length + 1, (tail + (p + 1,) if last == p or a < top_last else tail)
             continue
         for idx in range(len(unplaced) - 1, -1, -1):
             value = unplaced[idx]
             if value > floor:
-                push((prefix + (value,), unplaced[:idx] + unplaced[idx + 1 :], length + idx))
+                hit = hits + (p,) if value < top else hits
+                push((prefix + (value,), unplaced[:idx] + unplaced[idx + 1 :], length + idx, hit))
 
 
 def minimal_coset_reps(k: SimpleSubset) -> Iterator[Permutation]:
     """The set W^K = {w : w(i) < w(i+1) for all i in K} in lexicographic
     one-line order, generated one at a time; there are n!/2^|K| of them
     for special K. K is checked before the first item."""
-    return (Permutation(images) for images, _ in minimal_coset_rep_images(k))
+    trusted = Permutation._trusted  # the search yields bijections only
+    return (trusted(images) for images, _, _ in minimal_coset_rep_images(k))
 
 
 def minimal_coset_rep_count(k: SimpleSubset) -> int:

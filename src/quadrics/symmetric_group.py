@@ -12,6 +12,7 @@ Conventions, shared by every module in this package:
 from __future__ import annotations
 
 import itertools
+from operator import gt
 from typing import Iterable
 
 
@@ -35,6 +36,13 @@ class Permutation:
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of [{n}]: {images!r}")
         self.images = images
+
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> Permutation:
+        """A permutation of images known to be a bijection, unchecked."""
+        w = object.__new__(cls)
+        w.images = images
+        return w
 
     @property
     def n(self) -> int:
@@ -61,9 +69,7 @@ class Permutation:
         transposition s_i shortens w.
         """
         images = self.images
-        return tuple(
-            i for i in range(1, self.n) if images[i - 1] > images[i]
-        )
+        return tuple(itertools.compress(range(1, len(images)), map(gt, images, images[1:])))
 
     def inverse(self) -> Permutation:
         inv = [0] * self.n

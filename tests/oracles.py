@@ -5,7 +5,10 @@ Nothing under src/ imports this file.
 * enumerate_permutations (all of S_n, from itertools) checks the
   depth-first W^K search of `parabolic` and the classical identity
   sum_w q^ell(w) = [n]_q!; simple_reflection checks right descents as the
-  length drops of w s_i.
+  length drops of w s_i, and descents_by_comparison checks
+  `Permutation.right_descents` position by position.
+* comparison_hits, the comparisons of one finished row, checks the hits
+  the W^K search decides as it places each position.
 * parabolic_subgroup (W_K from its commuting generators) checks
   `parabolic.minimal_coset_reps` by the unique length-additive
   factorization w = u x, u in W^K, x in W_K.
@@ -48,6 +51,12 @@ def enumerate_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation(images)
 
 
+def descents_by_comparison(w: Permutation) -> tuple[int, ...]:
+    """The i in [n-1] with w(i) > w(i+1), one comparison at a time."""
+    images = w.images
+    return tuple(i for i in range(1, w.n) if images[i - 1] > images[i])
+
+
 def simple_reflection(i: int, n: int) -> Permutation:
     """The adjacent transposition s_i = (i, i+1) in S_n."""
     if not 1 <= i <= n - 1:
@@ -69,6 +78,12 @@ def parabolic_subgroup(k: SimpleSubset) -> list[Permutation]:
                 images[i - 1], images[i] = images[i], images[i - 1]
             out.append(Permutation(images))
     return out
+
+
+def comparison_hits(images: Sequence[int], references: Sequence[tuple[int, int]]) -> list[int]:
+    """The i of the (i, p) in references with images[i] < images[p], read
+    off the finished one-line images."""
+    return [i for i, p in references if images[i] < images[p]]
 
 
 # --- cell dimensions, one fixed point at a time ----------------------------

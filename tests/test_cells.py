@@ -76,6 +76,14 @@ def test_r_set_guards():
         r_set(SimpleSubset(3, (1,)), Permutation((3, 2, 1)))
     with pytest.raises(ValueError):
         r_set(SimpleSubset(3, ()), Permutation((1, 2)))
+    with pytest.raises(ValueError, match="rank mismatch"):
+        r_set(SimpleSubset(3, ()), Permutation((1, 2, 3, 4)))
+    # speciality is settled when the subset is built, yet only refused on use
+    not_special = SimpleSubset(5, (2, 3))
+    assert not not_special.is_special()
+    for _ in range(2):
+        with pytest.raises(NotSpecialError):
+            r_set(not_special, identity(5))
 
 
 def test_r_set_at_empty_k_is_descent_set():

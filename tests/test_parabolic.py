@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from quadrics.kernel import r_references
 from quadrics.parabolic import (
     NotSpecialError,
     SimpleSubset,
@@ -20,7 +21,7 @@ from quadrics.parabolic import (
 )
 from quadrics.symmetric_group import Permutation, identity
 
-from oracles import enumerate_permutations, parabolic_subgroup
+from oracles import comparison_hits, enumerate_permutations, parabolic_subgroup
 
 
 def all_subsets(n):
@@ -176,30 +177,67 @@ def filtered_coset_rep_images(n, members):
 
 
 def assert_matches_filtered_oracle(k, generated):
-    """generated, a list of (images, length), is W^K in the oracle's order
-    with every length equal to the inversion count."""
-    assert [images for images, _ in generated] == list(
+    """generated, a list of (images, length, hits), is W^K in the oracle's
+    order with every length equal to the inversion count."""
+    assert [images for images, _, _ in generated] == list(
         filtered_coset_rep_images(k.n, k.members)
     ), k
-    for images, length in generated:
+    for images, length, _ in generated:
         assert length == Permutation(images).length, (k, images, length)
 
 
 def test_search_matches_filtered_enumeration():
     for n in range(1, 9):
         for k in enumerate_special(n):
-            assert_matches_filtered_oracle(k, list(minimal_coset_rep_images(k)))
+            generated = list(minimal_coset_rep_images(k))
+            assert_matches_filtered_oracle(k, generated)
+            # no references, no comparisons
+            assert all(hits == () for _, _, hits in generated), k
 
 
 @pytest.mark.parametrize("members", [(), (2,), (1, 3)])
 def test_oracle_comparison_catches_a_wrong_length(members):
     k = SimpleSubset(4, members)
     generated = list(minimal_coset_rep_images(k))
-    for index, (images, length) in enumerate(generated):
+    for index, (images, length, hits) in enumerate(generated):
         mutated = list(generated)
-        mutated[index] = (images, length + 1)
+        mutated[index] = (images, length + 1, hits)
         with pytest.raises(AssertionError):
             assert_matches_filtered_oracle(k, mutated)
+
+
+def test_search_hits_match_the_comparisons_of_each_row():
+    for n in range(1, 9):
+        for k in enumerate_special(n):
+            references = r_references(n, k.members)
+            plain = [(images, length) for images, length, _ in minimal_coset_rep_images(k)]
+            rows = list(minimal_coset_rep_images(k, references))
+            # the comparisons change no row and no length
+            assert [(images, length) for images, length, _ in rows] == plain, k
+            for images, _, hits in rows:
+                assert hits == tuple(comparison_hits(images, references)), (k, images)
+
+
+def test_search_hits_take_any_earlier_reference():
+    # pairs beyond the form r_references returns: any p < i, the last two
+    # indices included, which the search places together, and in any order
+    n = 5
+    cases = [[(i, 0) for i in range(1, n)], [(i, i - 1) for i in reversed(range(1, n))]]
+    cases += [[(n - 1, p), (n - 2, p - 1)] for p in range(1, n - 1)]
+    for k in enumerate_special(n):
+        for references in cases:
+            for images, _, hits in minimal_coset_rep_images(k, references):
+                expected = sorted(comparison_hits(images, references))
+                assert list(hits) == expected, (k, references, images)
+
+
+def test_minimal_coset_reps_are_valid_permutations():
+    # the reps skip the bijection check; each equals the validated one
+    for n in range(1, 8):
+        for k in enumerate_special(n):
+            for w in minimal_coset_reps(k):
+                assert w == Permutation(w.images), (k, w)
+                assert type(w) is Permutation and type(w.images) is tuple
 
 
 def test_minimal_coset_reps_cardinality():

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from quadrics.symmetric_group import Permutation, WeightVector, identity, simple_root
 
-from oracles import enumerate_permutations, simple_reflection
+from oracles import descents_by_comparison, enumerate_permutations, simple_reflection
 
 
 def brute_inversions(images):
@@ -50,6 +50,12 @@ def test_right_descents_examples():
     assert identity(4).right_descents == ()
     assert Permutation((2, 1, 3)).right_descents == (1,)
     assert Permutation((3, 2, 1)).right_descents == (1, 2)
+
+
+def test_right_descents_match_the_comparison_oracle():
+    for n in range(1, 7):
+        for w in enumerate_permutations(n):
+            assert w.right_descents == descents_by_comparison(w), w
 
 
 def test_descents_are_length_drops():
