@@ -35,7 +35,6 @@ _EXPORTS = {
         "nilfix": (
             "FixedQuadricSpace",
             "NotSymmetricError",
-            "RationalMatrix",
             "RegularityResult",
             "RegularityWitness",
             "fixed_quadric_space",

@@ -329,7 +329,7 @@ def _euler(i_set: SimpleSubset) -> bool:
 def _fixed_quadrics(m: int) -> bool:
     space = fixed_quadric_space(m)
     e = regular_nilpotent(m)
-    if not all(infinitesimal_fixed_condition(e, b).is_zero() for b in space.basis):
+    if any(any(map(any, infinitesimal_fixed_condition(e, b))) for b in space.basis):
         return False
     rows = fixed_system_rows(m)
     ncols = m * (m + 1) // 2
@@ -536,6 +536,14 @@ def cmd_special(args: argparse.Namespace) -> int:
 
 # --- fixed-quadrics -----------------------------------------------------------------
 
+def _matrix_text(mat) -> str:
+    """The rows of an int matrix in brackets, entries right-aligned to the
+    widest one."""
+    cells = [[str(x) for x in row] for row in mat]
+    width = max(len(s) for row in cells for s in row)
+    return "\n".join("[" + " ".join(s.rjust(width) for s in row) + "]" for row in cells)
+
+
 def cmd_fixed_quadrics(args: argparse.Namespace) -> int:
     m = args.block
     if m < 1:
@@ -547,9 +555,7 @@ def cmd_fixed_quadrics(args: argparse.Namespace) -> int:
             "block": m,
             "dimension": space.dimension,
             "nondegenerate": space.has_nondegenerate,
-            "basis": [
-                [[str(x) for x in row] for row in mat.entries] for mat in space.basis
-            ],
+            "basis": [[[str(x) for x in row] for row in mat] for mat in space.basis],
         }
         _emit_json(args, doc)
     elif args.format == "csv":
@@ -565,7 +571,7 @@ def cmd_fixed_quadrics(args: argparse.Namespace) -> int:
         ]
         for idx, mat in enumerate(space.basis):
             lines.append(f"basis[{idx}]:")
-            lines.append(str(mat))
+            lines.append(_matrix_text(mat))
         _emit(args, [line + "\n" for line in lines])
     return EXIT_OK
 

@@ -1,5 +1,4 @@
-"""Quadrics fixed by a one-dimensional unipotent group, over exact
-rationals.
+"""Quadrics fixed by a one-dimensional unipotent group, in exact integers.
 
 Everything is driven by the regular nilpotent e with ones on the
 superdiagonal. Differentiating the change-of-variables action
@@ -18,15 +17,16 @@ count the e-stable flags over F_p. The fixed-quadric system is kept in
 one format, sparse integer rows {column: coefficient}: the anti-diagonal
 solve splits them by anti-diagonal, and the rank reduces them
 fraction-free; the tests widen them into dense rows for a solve and a
-rank over the rationals.
+rank over the rationals. Matrices are tuples of rows of ints, and every
+basis entry lies in {-1, 0, 1}; only the dense test oracle
+nullspace_basis leaves the integers.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from quadrics.parabolic import SimpleSubset
 
@@ -35,122 +35,34 @@ class NotSymmetricError(ValueError):
     """Raised when a quadric's matrix is not symmetric."""
 
 
-def _plain(x: Fraction):
-    """x as an int when it is integral, else x itself."""
-    return x.numerator if x.denominator == 1 else x
+Matrix = tuple[tuple[int, ...], ...]  # a matrix as its rows of ints
 
 
-class RationalMatrix:
-    """Dense matrix with exact Fraction entries."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, rows: Iterable[Iterable[object]]):
-        # a Fraction is immutable, so one given is kept as it is
-        entries = tuple(
-            tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows
-        )
-        if not entries or not entries[0]:
-            raise ValueError("matrix needs at least one row and column")
-        width = len(entries[0])
-        if any(len(row) != width for row in entries):
-            raise ValueError("ragged rows")
-        self.entries = entries
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> RationalMatrix:
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> RationalMatrix:
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        i, j = key
-        return self.entries[i][j]
-
-    def transpose(self) -> RationalMatrix:
-        return RationalMatrix(zip(*self.entries))
-
-    def __add__(self, other: RationalMatrix) -> RationalMatrix:
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("size mismatch")
-        # a zero summand is skipped, not added
-        return RationalMatrix(
-            [(a + b if a else b) if b else a for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.entries, other.entries)
-        )
-
-    def __mul__(self, other: RationalMatrix) -> RationalMatrix:
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("size mismatch")
-        # only the non-zero entries of either factor are multiplied, and
-        # integral ones as ints
-        right = [
-            [(c, _plain(b)) for c, b in enumerate(row) if b] for row in other.entries
-        ]
-        product = []
-        for row in self.entries:
-            acc = [0] * other.cols
-            for k, a in enumerate(row):
-                if a:
-                    a = _plain(a)
-                    for c, b in right[k]:
-                        acc[c] += a * b
-            product.append(acc)
-        return RationalMatrix(product)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and self.entries == tuple(zip(*self.entries))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RationalMatrix) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.entries)
-        return f"RationalMatrix([{body}])"
-
-    def __str__(self) -> str:
-        cells = [[str(x) for x in row] for row in self.entries]
-        width = max(len(s) for row in cells for s in row)
-        return "\n".join("[" + " ".join(s.rjust(width) for s in row) + "]" for row in cells)
-
-
-def regular_nilpotent(m: int) -> RationalMatrix:
+def regular_nilpotent(m: int) -> Matrix:
     """The m-by-m single-Jordan-block nilpotent: ones on the superdiagonal."""
     if m < 1:
         raise ValueError("size must be at least 1")
-    return RationalMatrix(
-        [[1 if j == i + 1 else 0 for j in range(m)] for i in range(m)]
-    )
+    return tuple(tuple(int(j == i + 1) for j in range(m)) for i in range(m))
 
 
-def infinitesimal_fixed_condition(e: RationalMatrix, a: RationalMatrix) -> RationalMatrix:
+def infinitesimal_fixed_condition(e: Sequence[Sequence[int]], a: Sequence[Sequence[int]]) -> Matrix:
     """e^T A + A e, the derivative at the identity of the quadric action
-    along exp(te). A is infinitesimally fixed exactly when this vanishes."""
-    if e.rows != e.cols or a.rows != a.cols or e.rows != a.rows:
+    along exp(te). A is infinitesimally fixed exactly when this vanishes.
+    Only the non-zero entries of e are multiplied: each e[k][l] = x adds
+    x * (row k of A) to row l and, A being symmetric, to column l."""
+    m = len(a)
+    if not m or len(e) != m or any(len(row) != m for row in (*e, *a)):
         raise ValueError("size mismatch")
-    if not a.is_symmetric():
+    if list(zip(*a)) != list(map(tuple, a)):
         raise NotSymmetricError("quadrics are given by symmetric matrices")
-    return e.transpose() * a + a * e
+    out = [[0] * m for _ in range(m)]
+    for k, row in enumerate(e):
+        for l, x in enumerate(row):
+            if x:
+                for j, y in enumerate(a[k]):
+                    out[l][j] += x * y
+                    out[j][l] += x * y
+    return tuple(map(tuple, out))
 
 
 # --- exact elimination helpers -------------------------------------------
@@ -186,11 +98,14 @@ def row_echelon_rank(rows: Sequence[dict[int, int]], column_order: Optional[Sequ
     return len(pivots)
 
 
-def nullspace_basis(rows: Sequence[Sequence[object]], ncols: int) -> list[tuple[Fraction, ...]]:
+def nullspace_basis(rows: Sequence[Sequence[object]], ncols: int) -> list[tuple]:
     """Canonical basis of the solution space of the homogeneous system, one
     vector per free column of the reduced row echelon form, each scaled so
     its first non-zero coordinate is positive. Dense Gauss-Jordan over
-    Fractions; the test oracle of anti_diagonal_basis."""
+    Fractions; the test oracle of anti_diagonal_basis. It imports fractions
+    itself, so no command loads that module."""
+    from fractions import Fraction
+
     work = [[Fraction(x) for x in row] for row in rows]
     pivots: list[int] = []
     rank = 0
@@ -232,7 +147,7 @@ class FixedQuadricSpace(NamedTuple):
     """
 
     block_size: int
-    basis: tuple[RationalMatrix, ...]
+    basis: tuple[Matrix, ...]
     has_nondegenerate: bool
 
     @property
@@ -268,7 +183,7 @@ def fixed_system_rows(m: int) -> list[dict[int, int]]:
     return rows
 
 
-def anti_diagonal_basis(m: int) -> list[tuple[Fraction, ...]]:
+def anti_diagonal_basis(m: int) -> list[tuple[int, ...]]:
     """The basis nullspace_basis returns on fixed_system_rows(m) widened to
     dense rows of m(m+1)/2 columns, the same vectors in the same order with
     the same signs, solved one anti-diagonal at a time in O(m^2) instead of
@@ -297,22 +212,24 @@ def anti_diagonal_basis(m: int) -> list[tuple[Fraction, ...]]:
     for terms in fixed_system_rows(m):
         i, j = pairs[next(iter(terms))]
         equations[i + j].append(terms)
-    zero = Fraction(0)
     basis = []
     for chain, eqs in zip(chains, equations):
         values = _chain_null_vector(chain, eqs)
         if values is not None:
-            vec = [zero] * len(pairs)
+            vec = [0] * len(pairs)
             for t, x in zip(chain, values):
                 vec[t] = x
             basis.append(tuple(vec))
     return basis
 
 
-def _chain_null_vector(chain: list[int], equations: list[dict[int, int]]) -> Optional[list[Fraction]]:
+def _chain_null_vector(chain: list[int], equations: list[dict[int, int]]) -> Optional[list[int]]:
     """The values on the columns of chain (ascending) of the one solution of
     its equations with last value 1, sign-flipped to a positive first
-    value; None when a pin forces the chain to zero."""
+    value; None when a pin forces the chain to zero. Each step back along
+    the chain divides exactly (every link of the fixed-quadric system is
+    x + x' = 0); a remainder raises RuntimeError rather than being
+    floored."""
     position = {t: r for r, t in enumerate(chain)}
     links: dict[int, tuple[int, int]] = {}
     pinned = False
@@ -329,28 +246,30 @@ def _chain_null_vector(chain: list[int], equations: list[dict[int, int]]) -> Opt
         raise RuntimeError("the equations of an anti-diagonal are not a chain")
     if pinned:
         return None
-    values = [Fraction(1)]
+    values = [1]
     for r in range(len(chain) - 1, 0, -1):
         c0, c1 = links[r]
-        values.append(-c1 * values[-1] / c0)
+        value, remainder = divmod(-c1 * values[-1], c0)
+        if remainder:
+            raise RuntimeError("an anti-diagonal chain has no integral solution")
+        values.append(value)
     values.reverse()
     if values[0] < 0:
         values = [-x for x in values]
     return values
 
 
-def _vector_to_symmetric(m: int, vec: Sequence[Fraction]) -> RationalMatrix:
-    entries = [[Fraction(0)] * m for _ in range(m)]
+def _vector_to_symmetric(m: int, vec: Sequence[int]) -> Matrix:
+    entries = [[0] * m for _ in range(m)]
     for (i, j), value in zip(_sym_pairs(m), vec):
-        entries[i][j] = value
-        entries[j][i] = value
-    return RationalMatrix(entries)
+        entries[i][j] = entries[j][i] = value
+    return tuple(map(tuple, entries))
 
 
 # Kept here because the grid-sweep test oracle evaluates determinants with
 # it and the benchmark tracer patches this name to count them.
 def _int_det(a: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of a small integer matrix;
+    """Bareiss determinant of a small integer matrix, each division exact;
     mutates its argument."""
     n = len(a)
     sign = 1
@@ -387,9 +306,9 @@ def fixed_quadric_space(m: int) -> FixedQuadricSpace:
         raise ValueError("size must be at least 1")
     vectors = anti_diagonal_basis(m)
     basis = tuple(_vector_to_symmetric(m, vec) for vec in vectors)
-    if any(mat[i, j] for mat in basis for i in range(m) for j in range(m - 1 - i)):
+    if any(mat[i][j] for mat in basis for i in range(m) for j in range(m - 1 - i)):
         raise RuntimeError(f"a fixed quadric of size {m} is non-zero above the anti-diagonal")
-    has_nondeg = all(any(mat[k, m - 1 - k] for mat in basis) for k in range(m))
+    has_nondeg = all(any(mat[k][m - 1 - k] for mat in basis) for k in range(m))
     return FixedQuadricSpace(m, basis, has_nondeg)
 
 

@@ -17,7 +17,9 @@ Nothing under src/ imports this file.
   the census of `kernel` and the rows of `cells.fixed_point_rows`.
 * census_by_lists is the insertion DP of `kernel.cell_census` with each
   state's polynomial as a dense coefficient list, added into term by term
-  for every state and rank; it checks the packed-integer census.
+  for every state and rank; it checks the packed-integer census. Inputs
+  that agree on the low bits of their masks share the states of the
+  steps that read only those bits.
 * rational_rank (Gaussian elimination over Fractions) checks the
   fraction-free `nilfix.row_echelon_rank`.
 * fixed_flag and fixed_flag_uniqueness_oracle (a count of flags over F_p)
@@ -27,6 +29,7 @@ Nothing under src/ imports this file.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -122,28 +125,45 @@ def census_by_lists(n: int, forced: int, allowed: int, target: int) -> dict[int,
     each move added into its destination one coefficient at a time, O(n^5)
     additions. Inputs are taken as valid; the tests validate through the
     packed census."""
-    size = n * (n - 1) // 2 + (allowed | target).bit_count() + 1
-    states = {(0, False): [1] + [0] * (size - 1)}
-    for p in range(2, n + 1):
-        bit = 1 << (p - 2)
-        must, may, counted = forced & bit, allowed & bit, bool(target & bit)
-        nxt: dict[tuple[int, bool], list[int]] = {}
-        for (s, joined), poly in states.items():
-            terms = [(e, c) for e, c in enumerate(poly) if c]
-            for r in range(p):
-                below = r <= s
-                moves = []
-                if may and not joined and not below:
-                    moves.append(((s, True), p - r))
-                if not must:
-                    moves.append(((r, False), p - 1 - r + (below and counted)))
-                for key, shift in moves:
-                    dest = nxt.setdefault(key, [0] * size)
-                    for e, c in terms:
-                        dest[e + shift] += c
-        states = nxt
+    states = _list_step(n, n, forced, allowed, target)
     totals = [sum(column) for column in zip(*states.values())]
     return {e: count for e, count in enumerate(totals) if count}
+
+
+def _list_step(n: int, p: int, forced: int, allowed: int, target: int) -> dict:
+    """The states of census_by_lists after step p. Step p reads bit p-2 of
+    each mask only, so the states before it come from the masks cut to
+    bits 0..p-3, and inputs that agree there share them. Every list has
+    room for the highest exponent of any census at rank n, and none is
+    modified once made."""
+    size = n * (n - 1) // 2 + n
+    if p == 1:
+        return {(0, False): [1] + [0] * (size - 1)}
+    low = (1 << (p - 2)) - 1
+    states = _shared_list_step(n, p - 1, forced & low, allowed & low, target & low)
+    bit = 1 << (p - 2)
+    must, may, counted = forced & bit, allowed & bit, bool(target & bit)
+    nxt: dict[tuple[int, bool], list[int]] = {}
+    for (s, joined), poly in states.items():
+        terms = [(e, c) for e, c in enumerate(poly) if c]
+        for r in range(p):
+            below = r <= s
+            moves = []
+            if may and not joined and not below:
+                moves.append(((s, True), p - r))
+            if not must:
+                moves.append(((r, False), p - 1 - r + (below and counted)))
+            for key, shift in moves:
+                dest = nxt.setdefault(key, [0] * size)
+                for e, c in terms:
+                    dest[e + shift] += c
+    return nxt
+
+
+# the last step of a census is never shared, so only the earlier ones are
+# kept; a caller that takes its inputs in order of their low bits needs
+# only the steps of the input before
+_shared_list_step = functools.lru_cache(maxsize=256)(_list_step)
 
 
 # --- rational rank ---------------------------------------------------------
@@ -190,7 +210,7 @@ def fixed_flag(k: SimpleSubset) -> list[int]:
         # e shifts coordinates up, so the image of the first d coordinates
         # must land in the first max(d - 1, 0) of them
         for j in range(d):
-            column = [e[(i, j)] for i in range(k.n)]
+            column = [e[i][j] for i in range(k.n)]
             for i, x in enumerate(column):
                 if x != 0 and i >= d:
                     raise RuntimeError(f"span of first {d} coordinates is not stable")

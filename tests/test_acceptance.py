@@ -25,7 +25,6 @@ from quadrics.cells import (
     verify_km,
 )
 from quadrics.nilfix import (
-    RationalMatrix,
     fixed_quadric_space,
     regularity_classifier,
 )
@@ -118,12 +117,12 @@ def test_criterion_5_regularity_equivalence_by_disjoint_code_paths():
         assert witness.k == SimpleSubset(3, (1, 2))
         assert witness.block_size == 3
         assert witness.family.basis == (
-            RationalMatrix([[0, 0, 1], [0, -1, 0], [1, 0, 0]]),
-            RationalMatrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]]),
+            ((0, 0, 1), (0, -1, 0), (1, 0, 0)),
+            ((0, 0, 0), (0, 0, 0), (0, 0, 1)),
         )
 
         space2 = fixed_quadric_space(2)
-        assert space2.basis == (RationalMatrix([[0, 0], [0, 1]]),)
+        assert space2.basis == (((0, 0), (0, 1)),)
         assert space2.has_nondegenerate is False
 
 

@@ -664,6 +664,19 @@ def test_fixed_quadrics_blocks_past_the_old_grid_sweep(capsys):
     assert "dimension 6, nondegenerate member: yes" in out
 
 
+def test_fixed_quadrics_reports_keep_their_bytes(capsys):
+    # recorded from the reports of the Fraction-entry matrices, whose text
+    # block was str(RationalMatrix)
+    out = []
+    for m in (1, 2, 3, 5, 9, 12):
+        for fmt in ("text", "json", "csv"):
+            code, text = run_main(capsys, "fixed-quadrics", "--block", str(m), "--format", fmt)
+            assert code == 0
+            out.append(text)
+    digest = hashlib.sha256("".join(out).encode()).hexdigest()
+    assert digest == "9eb591a3fe3179225aabf8ae6d85932eafc6d1e42f655065abef7c1f88381ff1"
+
+
 def test_format_environment_variable():
     code, out, err = run_cli(
         "special", "--n", "4", "--count", env_extra={"QUADRICS_FORMAT": "json"}
@@ -789,7 +802,8 @@ def test_fixed_quadrics_check_fails_on_a_basis_matrix_that_is_not_fixed(monkeypa
         if m != 3:
             return space
         # symmetric, but e^T I + I e = e^T + e is not zero
-        return space._replace(basis=(nilfix.RationalMatrix.identity(3),) + space.basis[1:])
+        identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        return space._replace(basis=(identity,) + space.basis[1:])
 
     monkeypatch.setattr(cli, "fixed_quadric_space", not_fixed)
     code, lines = fixed_quadrics_report(capsys)

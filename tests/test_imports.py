@@ -44,7 +44,12 @@ print(code, *sorted(set(sys.modules) - before))
         (
             ("fixed-quadrics", "--block", "3"),
             {"quadrics.nilfix"},
-            {"quadrics.cells", "quadrics.kernel"},
+            {"quadrics.cells", "quadrics.kernel", "fractions"},
+        ),
+        (
+            ("verify", "--n", "6", "--checks", "regularity,fixed-quadrics"),
+            {"quadrics.nilfix"},
+            {"fractions"},
         ),
         (
             ("verify", "--n", "4", "--checks", "height"),
@@ -93,7 +98,6 @@ EXPORTS = {
         [
             "FixedQuadricSpace",
             "NotSymmetricError",
-            "RationalMatrix",
             "RegularityResult",
             "RegularityWitness",
             "fixed_quadric_space",

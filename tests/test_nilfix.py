@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -10,7 +9,6 @@ from quadrics import nilfix
 from quadrics.nilfix import (
     FixedQuadricSpace,
     NotSymmetricError,
-    RationalMatrix,
     RegularityResult,
     RegularityWitness,
     block_sizes,
@@ -27,43 +25,58 @@ from quadrics.parabolic import NotSpecialError, SimpleSubset, enumerate_special
 from oracles import PrimeTooSmallError, fixed_flag, fixed_flag_uniqueness_oracle, rational_rank
 
 
-def test_rational_matrix_basics():
-    a = RationalMatrix([[1, 2], [3, 4]])
-    assert a[0, 1] == 2
-    assert a.transpose() == RationalMatrix([[1, 3], [2, 4]])
-    assert RationalMatrix.zeros(2, 2).is_zero() and not a.is_zero()
-    assert a * RationalMatrix.identity(2) == a
+def identity(m):
+    return tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+
+
+def is_zero(mat):
+    return not any(map(any, mat))
+
+
+def test_int_matrix_basics():
+    e = regular_nilpotent(2)
+    assert e == ((0, 1), (0, 0)) and all(type(x) is int for row in e for x in row)
     assert nilfix._int_det([[1, 2], [3, 4]]) == -2
-    half = RationalMatrix([[Fraction(1, 2)]])
-    assert half + half == RationalMatrix([[1]])
-    assert not a.is_symmetric()
-    assert RationalMatrix([[1, 5], [5, 2]]).is_symmetric()
-    with pytest.raises(ValueError):
-        a * RationalMatrix([[1, 2, 3]])
-    with pytest.raises(ValueError):
-        RationalMatrix([[1], [2, 3]])
+    assert infinitesimal_fixed_condition(e, ((1, 5), (5, 2))) == ((0, 1), (1, 10))
+    # lists of rows are read as the tuples they stand for
+    assert infinitesimal_fixed_condition([[0, 1], [0, 0]], [[1, 5], [5, 2]]) == ((0, 1), (1, 10))
+    with pytest.raises(NotSymmetricError):
+        infinitesimal_fixed_condition(e, ((1, 2), (3, 4)))
+    for bad_e, bad_a in (
+        (e, ((1, 2, 3),)),  # not square
+        (e, ((1,), (2, 3))),  # ragged
+        (((0, 1),), ((1, 5), (5, 2))),  # e not square
+        (((0, 1, 0), (0, 0)), identity(2)),  # e ragged
+        ((), ()),  # empty
+    ):
+        with pytest.raises(ValueError):
+            infinitesimal_fixed_condition(bad_e, bad_a)
 
 
-small_fractions = st.one_of(st.just(0), st.fractions(-3, 3, max_denominator=4))
+small_ints = st.one_of(st.just(0), st.integers(-3, 3))
 
 
 @st.composite
-def matrix_pairs(draw):
-    rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
-    a = [[draw(small_fractions) for _ in range(inner)] for _ in range(rows)]
-    b = [[draw(small_fractions) for _ in range(cols)] for _ in range(inner)]
-    return a, b
+def nilpotent_and_quadric(draw):
+    """A random int e and a random symmetric int A of the same size."""
+    m = draw(st.integers(1, 5))
+    e = tuple(tuple(draw(small_ints) for _ in range(m)) for _ in range(m))
+    upper = {(i, j): draw(small_ints) for i in range(m) for j in range(i, m)}
+    a = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(m)) for i in range(m))
+    return e, a
 
 
-@given(matrix_pairs())
+@given(nilpotent_and_quadric())
 def test_product_matches_the_definition(pair):
-    a, b = pair
-    expected = [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
-    assert RationalMatrix(a) * RationalMatrix(b) == RationalMatrix(expected)
-    assert RationalMatrix(a) + RationalMatrix(a) == RationalMatrix([[2 * x for x in row] for row in a])
+    e, a = pair
+    m = len(a)
+    expected = tuple(
+        tuple(sum(e[k][i] * a[k][j] + a[i][k] * e[k][j] for k in range(m)) for j in range(m))
+        for i in range(m)
+    )
+    got = infinitesimal_fixed_condition(e, a)
+    assert got == expected
+    assert all(type(x) is int for row in got for x in row)
 
 
 @st.composite
@@ -102,44 +115,42 @@ def test_integer_rows_take_the_fraction_free_path():
 
 
 def test_regular_nilpotent():
-    assert regular_nilpotent(1) == RationalMatrix([[0]])
-    assert regular_nilpotent(3) == RationalMatrix(
-        [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
-    )
+    assert regular_nilpotent(1) == ((0,),)
+    assert regular_nilpotent(3) == ((0, 1, 0), (0, 0, 1), (0, 0, 0))
     for m in range(1, 7):
         e = regular_nilpotent(m)
-        assert row_echelon_rank([{c: int(x) for c, x in enumerate(row)} for row in e.entries]) == m - 1
+        assert row_echelon_rank([dict(enumerate(row)) for row in e]) == m - 1
 
 
 def test_infinitesimal_fixed_condition():
     e3 = regular_nilpotent(3)
-    family_member = RationalMatrix([[0, 0, 5], [0, -5, 0], [5, 0, 7]])
-    assert infinitesimal_fixed_condition(e3, family_member).is_zero()
+    family_member = ((0, 0, 5), (0, -5, 0), (5, 0, 7))
+    assert is_zero(infinitesimal_fixed_condition(e3, family_member))
     e2 = regular_nilpotent(2)
-    assert not infinitesimal_fixed_condition(e2, RationalMatrix.identity(2)).is_zero()
-    zero = RationalMatrix.zeros(3, 3)
-    assert infinitesimal_fixed_condition(zero, RationalMatrix.identity(3)).is_zero()
+    assert not is_zero(infinitesimal_fixed_condition(e2, identity(2)))
+    zero = ((0,) * 3,) * 3
+    assert is_zero(infinitesimal_fixed_condition(zero, identity(3)))
     with pytest.raises(NotSymmetricError):
-        infinitesimal_fixed_condition(e2, RationalMatrix([[0, 1], [2, 0]]))
+        infinitesimal_fixed_condition(e2, ((0, 1), (2, 0)))
     with pytest.raises(ValueError):
-        infinitesimal_fixed_condition(e3, RationalMatrix.identity(2))
+        infinitesimal_fixed_condition(e3, identity(2))
 
 
 def test_fixed_quadric_space_m2_is_exactly_the_degenerate_quadric():
     space = fixed_quadric_space(2)
     assert space.dimension == 1
-    assert space.basis == (RationalMatrix([[0, 0], [0, 1]]),)
+    assert space.basis == (((0, 0), (0, 1)),)
     assert space.has_nondegenerate is False
 
 
 def test_fixed_quadric_space_m3_is_the_two_parameter_family():
     space = fixed_quadric_space(3)
     assert space.dimension == 2
-    c_part = RationalMatrix([[0, 0, 1], [0, -1, 0], [1, 0, 0]])
-    f_part = RationalMatrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
+    c_part = ((0, 0, 1), (0, -1, 0), (1, 0, 0))
+    f_part = ((0, 0, 0), (0, 0, 0), (0, 0, 1))
     assert space.basis == (c_part, f_part)
     # det of the c-component alone is c^3, so nondegenerate members exist
-    assert nilfix._int_det([[int(x) for x in row] for row in c_part.entries]) == 1
+    assert nilfix._int_det([list(row) for row in c_part]) == 1
     assert space.has_nondegenerate is True
 
 
@@ -154,8 +165,16 @@ def test_fixed_quadric_space_basis_satisfies_condition():
         space = fixed_quadric_space(m)
         e = regular_nilpotent(m)
         for mat in space.basis:
-            assert mat.is_symmetric()
-            assert infinitesimal_fixed_condition(e, mat).is_zero()
+            assert mat == tuple(zip(*mat))
+            assert is_zero(infinitesimal_fixed_condition(e, mat))
+
+
+def test_fixed_quadric_basis_entries_are_plain_ints_of_size_at_most_one():
+    for m in range(1, 31):
+        for mat in fixed_quadric_space(m).basis:
+            assert len(mat) == m and all(len(row) == m for row in mat)
+            for row in mat:
+                assert all(type(x) is int and x in (-1, 0, 1) for x in row), (m, row)
 
 
 def test_fixed_quadric_space_dimension_against_reversed_elimination():
@@ -181,10 +200,7 @@ def grid_has_nondegenerate(space: FixedQuadricSpace) -> bool:
     {0, ..., m}^dim; the grid is swept with early exit on the first
     non-zero determinant."""
     m = space.block_size
-    int_basis = []
-    for mat in space.basis:
-        scale = math.lcm(*(x.denominator for row in mat.entries for x in row))
-        int_basis.append([[int(x * scale) for x in row] for row in mat.entries])
+    int_basis = space.basis
     for point in itertools.product(range(m + 1), repeat=len(int_basis)):
         if not any(point):
             continue
@@ -233,7 +249,7 @@ def test_certificate_rejects_entry_above_anti_diagonal(monkeypatch, fresh_fixed_
     # leaves some anti-diagonal entry zero, so it is degenerate
     for m in (3, 4, 6):
         for t, (i, j) in enumerate(nilfix._sym_pairs(m)):
-            unit = tuple(Fraction(int(s == t)) for s in range(m * (m + 1) // 2))
+            unit = tuple(int(s == t) for s in range(m * (m + 1) // 2))
             monkeypatch.setattr(nilfix, "anti_diagonal_basis", lambda m: [unit])
             fixed_quadric_space.cache_clear()
             if i + j < m - 1:
@@ -278,7 +294,7 @@ def test_anti_diagonal_basis_is_one_alternating_vector_per_even_anti_diagonal():
             mat = [[0] * m for _ in range(m)]
             for t in range(s - m + 1, s // 2 + 1):
                 mat[t][s - t] = mat[s - t][t] = (-1) ** (t - s + m - 1)
-            expected.append(RationalMatrix(mat))
+            expected.append(tuple(map(tuple, mat)))
         assert fixed_quadric_space(m).basis == tuple(expected), m
 
 
@@ -287,7 +303,11 @@ def test_chain_solve_rejects_equations_that_are_not_a_chain():
         nilfix._chain_null_vector([0, 1, 2], [{0: 1, 2: 1}, {1: 1, 2: 1}])
     with pytest.raises(RuntimeError):
         nilfix._chain_null_vector([0, 1, 2], [{1: 1, 2: 1}])
-    assert nilfix._chain_null_vector([4, 7], [{4: 2, 7: 3}]) == [Fraction(3, 2), Fraction(-1)]
+    # 2 x + 3 y = 0 with y = 1 has no integral solution: refused, not floored
+    with pytest.raises(RuntimeError):
+        nilfix._chain_null_vector([4, 7], [{4: 2, 7: 3}])
+    assert nilfix._chain_null_vector([4, 7], [{4: 3, 7: 3}]) == [1, -1]
+    assert nilfix._chain_null_vector([4, 7], [{4: -1, 7: 2}]) == [2, 1]
     assert nilfix._chain_null_vector([4, 7], [{4: 2, 7: 3}, {7: 2}]) is None
 
 
@@ -352,8 +372,8 @@ def test_regularity_classifier_examples():
     assert witness.block_size == 3
     assert witness.family == fixed_quadric_space(3)
     assert witness.family.basis == (
-        RationalMatrix([[0, 0, 1], [0, -1, 0], [1, 0, 0]]),
-        RationalMatrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]]),
+        ((0, 0, 1), (0, -1, 0), (1, 0, 0)),
+        ((0, 0, 0), (0, 0, 0), (0, 0, 1)),
     )
 
 
