@@ -186,26 +186,26 @@ def per_orbit_closed_form_check(k: SimpleSubset, i_set: SimpleSubset) -> bool:
 
         sum_{w in W^K} q^(ell(w)+|K|+s) = (q/(1+q^2))^k ((1+q^2)/(1+q))^l [n]_q!,
 
-    which clears denominators to
+    and since K is contained in I, k <= l, so (1+q)^l alone clears it to
 
-        addend * (1+q^2)^k * (1+q)^l == q^k * (1+q^2)^l * prod_i [i]_q.
+        addend * (1+q)^l == q^k * (1+q^2)^(l-k) * [n]_q!.
 
     The addend is the fixed-K census. Its side is multiplied out one
-    factor 1 + q^2 or 1 + q at a time, each step O(degree); the right side
-    depends on (n, k, l) only and is built once, the same way.
+    factor 1 + q at a time, each step O(degree); the right side depends on
+    (n, k, l) only and is built once, the same way.
     """
     cleared = list(per_orbit_sum(k, i_set).coeffs)
-    for step in [2] * len(k) + [1] * len(i_set):
-        cleared = _times_one_plus_q_pow(cleared, step)
+    for _ in range(len(i_set)):
+        cleared = _times_one_plus_q_pow(cleared, 1)
     return QPolynomial(cleared) == _closed_form_factors(k.n, len(k), len(i_set))
 
 
 @lru_cache(maxsize=None)
 def _closed_form_factors(n: int, size_k: int, size_l: int) -> QPolynomial:
-    """q^k * (1+q^2)^l * prod_{i<=n} [i]_q, the cleared numerator of a
-    K-addend with |K| = k, |I| = l."""
+    """q^k * (1+q^2)^(l-k) * [n]_q!, the cleared right side of a K-addend
+    with |K| = k, |I| = l."""
     coeffs = [0] * size_k + list(q_factorial(n).coeffs)
-    for _ in range(size_l):
+    for _ in range(size_l - size_k):
         coeffs = _times_one_plus_q_pow(coeffs, 2)
     return QPolynomial(coeffs)
 

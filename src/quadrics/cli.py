@@ -301,7 +301,7 @@ def _i_items(special: bool):
             if special:
                 require_special(subset)
             return [(f"I={subset}", subset)]
-        universe = _special_members(1, n) if special else _lex_subsets(tuple(range(1, n)))
+        universe = _special_members(n) if special else _lex_subsets(tuple(range(1, n)))
         return ((f"I={subset_str(m)}", SimpleSubset(n, m)) for m in universe)
     return items
 
@@ -520,7 +520,7 @@ def cmd_special(args: argparse.Namespace) -> int:
         else:
             _emit(args, [f"{count}\n"])
         return EXIT_OK
-    members = _special_members(1, n)
+    members = _special_members(n)
     if args.format == "json":
         _emit(args, chain(
             [f'{{\n  "n": {n},\n  "count": {count},\n  "subsets": [\n'],

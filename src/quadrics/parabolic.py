@@ -148,9 +148,9 @@ def _lex_subsets(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     return _lex_chains(items, 1)
 
 
-def _special_members(start: int, n: int) -> Iterator[tuple[int, ...]]:
-    """The special subsets of {start, ..., n-1}, in lexicographic order."""
-    return _lex_chains(tuple(range(start, n)), 2)
+def _special_members(n: int) -> Iterator[tuple[int, ...]]:
+    """The special subsets of [n-1], in lexicographic order."""
+    return _lex_chains(tuple(range(1, n)), 2)
 
 
 def require_special(subset: SimpleSubset) -> None:
@@ -170,7 +170,7 @@ def enumerate_special(n: int) -> list[SimpleSubset]:
     """
     if n < 1:
         raise ValueError("rank must be at least 1")
-    return [SimpleSubset(n, members) for members in _special_members(1, n)]
+    return [SimpleSubset(n, members) for members in _special_members(n)]
 
 
 def special_count(n: int) -> int:

@@ -2,13 +2,13 @@
 q-factorials, and the closed product form of the Poincare polynomials of
 the special subvarieties of complete quadrics.
 
-Rational functions are never represented. Identities whose natural
-statement has rational-function sides are verified after cross-multiplying
-both sides into the polynomial ring. Products of factors 1 - q^k,
-1 + q^k and [k]_q are built on plain coefficient lists, one O(degree)
-step per factor, and the product formula divides its denominator out one
-factor 1 - q^k at a time; every quotient is exact because the whole
-denominator divides the numerator.
+Rational functions are never represented. A closed form that is a
+product of ratios (1 - q^a) / (1 - q^b) is walked one ratio at a time on
+a plain coefficient list: one O(degree) step times 1 - q^a, then one
+exact O(degree) step over 1 - q^b, ordered so that every partial product
+is a polynomial. The running list then never grows much past the final
+degree. Products of factors 1 + q^k and [k]_q are built the same way,
+one O(degree) step per factor.
 """
 
 from __future__ import annotations
@@ -251,20 +251,16 @@ def product_formula(subset: SimpleSubset) -> QPolynomial:
 
         ((1 - q^3) / (1 - q^2))^|I| * prod_{k=1}^{n} (1 - q^k) / (1 - q).
 
-    The numerator (1 - q^3)^|I| * prod(1 - q^k) is multiplied out, then the
-    denominator (1 - q^2)^|I| * (1 - q)^n is divided out one factor at a
-    time, each step O(degree). Every step is exact because the whole
-    denominator divides the numerator when I is special; an
-    InexactDivisionError escaping this function means an implementation bug.
+    Starts from [n]_q! and walks the |I| ratios, one step times 1 - q^3
+    and one over 1 - q^2 each, every step O(degree). Each division is
+    exact: a special I has |I| <= floor(n/2), the number of even k <= n,
+    and each such [k]_q carries one factor 1 + q. An InexactDivisionError
+    escaping this function means an implementation bug.
     """
     require_special(subset)
-    n = subset.n
-    size = len(subset)
-    coeffs = [1]
-    for k in sorted([3] * size + list(range(1, n + 1))):
-        coeffs = _times_one_minus_q_pow(coeffs, k)
-    for k in [2] * size + [1] * n:
-        coeffs = _over_one_minus_q_pow(coeffs, k)
+    coeffs = list(q_factorial(subset.n).coeffs)
+    for _ in range(len(subset)):
+        coeffs = _over_one_minus_q_pow(_times_one_minus_q_pow(coeffs, 3), 2)
     return QPolynomial(coeffs)
 
 
@@ -273,32 +269,21 @@ def height_identity_check(n: int) -> bool:
 
         prod_{1<=i<j<=n} (1 - q^(j-i+1)) / (1 - q^(j-i)) = [n]_q!
 
-    checked with no division, by comparing
-
-        prod(1 - q^(j-i+1)) * (1 - q)^n  ==  [n]_q! * prod(1 - q^(j-i)) * (1 - q)^n
-
-    as exact polynomials. A gap d = j - i occurs n - d times, so both sides
-    share the factor C = (1 - q)^n * prod_{d=2}^{n-1} (1 - q^d)^(n-d),
-    which is built once; then
-
-        left  = C * prod_{d=2}^{n} (1 - q^d),
-        right = C * [n]_q! * (1 - q)^(n-1),
-
-    each completed factor by factor and compared in full. Every step is
-    one O(degree) pass on a coefficient list.
+    A gap d = j - i occurs n - d times. Taking the gaps in increasing
+    order, each pair is one step times 1 - q^(d+1) and one exact step over
+    1 - q^d. Every partial product is a polynomial: after the gaps below d
+    and t pairs of gap d it is n - 1 factors 1 - q^k over (1 - q)^(n-1),
+    and each factor carries one 1 - q. So a step that leaves a remainder
+    means the identity fails, as does a walk that ends anywhere but
+    [n]_q!.
     """
     if n < 1:
         raise ValueError("rank must be at least 1")
-    shared = [1]
-    # smallest k first keeps the intermediate lists shortest
-    for k in [1] * n + [d for d in range(2, n) for _ in range(n - d)]:
-        shared = _times_one_minus_q_pow(shared, k)
-    lhs = shared
-    for d in range(2, n + 1):
-        lhs = _times_one_minus_q_pow(lhs, d)
-    rhs = shared
-    for k in range(2, n + 1):
-        rhs = _times_q_integer(rhs, k)
-    for _ in range(n - 1):
-        rhs = _times_one_minus_q_pow(rhs, 1)
-    return QPolynomial(lhs) == QPolynomial(rhs)
+    coeffs = [1]
+    try:
+        for d in range(1, n):
+            for _ in range(n - d):
+                coeffs = _over_one_minus_q_pow(_times_one_minus_q_pow(coeffs, d + 1), d)
+    except InexactDivisionError:
+        return False
+    return QPolynomial(coeffs) == q_factorial(n)

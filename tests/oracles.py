@@ -20,6 +20,13 @@ Nothing under src/ imports this file.
   for every state and rank; it checks the packed-integer census. Inputs
   that agree on the low bits of their masks share the states of the
   steps that read only those bits.
+* height_by_shared_factor is the root-height identity cross-multiplied
+  into one division-free polynomial comparison, both sides completed from
+  the factor they share; it checks the ratio walk of
+  `qpoly.height_identity_check`. closed_form_doubly_cleared is the
+  per-orbit closed form with both denominators, (1 + q^2)^|K| and
+  (1 + q)^|I|, cleared by dense products; it checks
+  `cells.per_orbit_closed_form_check`, which clears (1 + q)^|I| alone.
 * rational_rank (Gaussian elimination over Fractions) checks the
   fraction-free `nilfix.row_echelon_rank`.
 * fixed_flag and fixed_flag_uniqueness_oracle (a count of flags over F_p)
@@ -34,9 +41,11 @@ import itertools
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
+from quadrics import cells, qpoly
 from quadrics.cells import SubsetViolationError, r_set
 from quadrics.nilfix import regular_nilpotent
 from quadrics.parabolic import SimpleSubset, require_special
+from quadrics.qpoly import QPolynomial, monomial, q_integer
 from quadrics.symmetric_group import Permutation
 
 
@@ -164,6 +173,64 @@ def _list_step(n: int, p: int, forced: int, allowed: int, target: int) -> dict:
 # kept; a caller that takes its inputs in order of their low bits needs
 # only the steps of the input before
 _shared_list_step = functools.lru_cache(maxsize=256)(_list_step)
+
+
+# --- closed forms ----------------------------------------------------------
+
+def height_by_shared_factor(n: int) -> bool:
+    """The root-height identity
+
+        prod_{1<=i<j<=n} (1 - q^(j-i+1)) / (1 - q^(j-i)) = [n]_q!
+
+    checked with no division, by comparing
+
+        prod(1 - q^(j-i+1)) * (1 - q)^n  ==  [n]_q! * prod(1 - q^(j-i)) * (1 - q)^n
+
+    as exact polynomials. A gap d = j - i occurs n - d times, so both sides
+    share the factor C = (1 - q)^n * prod_{d=2}^{n-1} (1 - q^d)^(n-d),
+    which is built once; then
+
+        left  = C * prod_{d=2}^{n} (1 - q^d),
+        right = C * [n]_q! * (1 - q)^(n-1),
+
+    each completed factor by factor through the O(degree) steps of
+    `qpoly` and compared in full.
+    """
+    if n < 1:
+        raise ValueError("rank must be at least 1")
+    times = qpoly._times_one_minus_q_pow
+    shared = [1]
+    # smallest k first keeps the intermediate lists shortest
+    for k in [1] * n + [d for d in range(2, n) for _ in range(n - d)]:
+        shared = times(shared, k)
+    lhs = shared
+    for d in range(2, n + 1):
+        lhs = times(lhs, d)
+    rhs = shared
+    for k in range(2, n + 1):
+        rhs = qpoly._times_q_integer(rhs, k)
+    for _ in range(n - 1):
+        rhs = times(rhs, 1)
+    return QPolynomial(lhs) == QPolynomial(rhs)
+
+
+def closed_form_doubly_cleared(k: SimpleSubset, i_set: SimpleSubset) -> bool:
+    """The closed form of the K-addend of the subvariety indexed by I,
+
+        sum_{w in W^K} q^(ell(w)+|K|+s) = (q/(1+q^2))^k ((1+q^2)/(1+q))^l [n]_q!
+
+    with |K| = k and |I| = l, cleared of both denominators to
+
+        addend * (1+q^2)^k * (1+q)^l == q^k * (1+q^2)^l * prod_i [i]_q
+
+    and compared in dense products. The addend is `cells.per_orbit_sum`.
+    """
+    one_plus_q, one_plus_q2 = QPolynomial([1, 1]), QPolynomial([1, 0, 1])
+    left = cells.per_orbit_sum(k, i_set) * one_plus_q2 ** len(k) * one_plus_q ** len(i_set)
+    right = monomial(len(k)) * one_plus_q2 ** len(i_set)
+    for i in range(1, k.n + 1):
+        right = right * q_integer(i)
+    return left == right
 
 
 # --- rational rank ---------------------------------------------------------

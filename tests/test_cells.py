@@ -29,7 +29,12 @@ from quadrics.parabolic import (
 from quadrics.qpoly import QPolynomial, is_palindromic, monomial, q_integer, product_formula
 from quadrics.symmetric_group import Permutation, identity
 
-from oracles import cell_dim_in_subvariety, plus_cell_dim, s_value
+from oracles import (
+    cell_dim_in_subvariety,
+    closed_form_doubly_cleared,
+    plus_cell_dim,
+    s_value,
+)
 
 
 def naive_poincare_sum(i_set):
@@ -214,10 +219,11 @@ def test_verify_km_small():
 
 
 def test_per_orbit_closed_form_check():
-    for n in range(2, 7):
+    for n in range(1, 9):
         for i_set in enumerate_special(n):
             for k in i_set.subsets():
-                assert per_orbit_closed_form_check(k, i_set)
+                assert per_orbit_closed_form_check(k, i_set), (k, i_set)
+                assert closed_form_doubly_cleared(k, i_set), (k, i_set)
 
 
 def test_closed_form_factors_are_built_once_per_size(monkeypatch):
@@ -244,6 +250,7 @@ def test_closed_form_check_fails_on_a_wrong_addend(monkeypatch):
     for i_set in enumerate_special(5):
         for k in i_set.subsets():
             assert not per_orbit_closed_form_check(k, i_set), (k, i_set)
+            assert not closed_form_doubly_cleared(k, i_set), (k, i_set)
 
 
 def test_descent_characterization_check():

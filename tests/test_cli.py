@@ -889,6 +889,26 @@ def test_inexact_division_is_invalid_input(monkeypatch, capsys):
     assert captured.err == "error: remainder 1\n"
 
 
+def test_a_height_step_with_a_remainder_is_a_failed_check(monkeypatch, capsys):
+    # unlike product_formula, the height check reads a remainder as the
+    # identity failing: exit 1, not invalid input
+    from quadrics import qpoly
+    from quadrics.qpoly import InexactDivisionError, height_identity_check
+
+    over = qpoly._over_one_minus_q_pow
+
+    def inexact(coeffs, k):
+        if k == 2:
+            raise InexactDivisionError(f"not a multiple of 1 - q^{k}")
+        return over(coeffs, k)
+
+    monkeypatch.setattr(qpoly, "_over_one_minus_q_pow", inexact)
+    assert height_identity_check(5) is False
+    code, out = run_main(capsys, "verify", "--n", "5", "--checks", "height")
+    assert code == 1
+    assert "height n=5: FAIL\n" in out
+
+
 # A name the benchmark tracer wraps on cli, with a small command calling it.
 TRACED_NAMES = {
     "poincare_sum": ("poincare", "--n", "3", "--subset", "1"),

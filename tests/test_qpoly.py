@@ -20,6 +20,8 @@ from quadrics.qpoly import (
     q_integer,
 )
 
+from oracles import height_by_shared_factor
+
 polys = st.builds(
     QPolynomial, st.lists(st.integers(-50, 50), min_size=0, max_size=8)
 )
@@ -151,14 +153,19 @@ def test_is_palindromic():
 
 
 def test_height_identity():
-    for n in range(1, 41):
+    for n in range(1, 61):
         assert height_identity_check(n), n
+        assert n > 40 or height_by_shared_factor(n), n
+
+
+# the shipped ratio walk and its oracle, which must both catch each fault
+HEIGHT_ROUTES = (height_identity_check, height_by_shared_factor)
 
 
 @pytest.mark.parametrize("shift", [1, -1])
 def test_height_check_fails_on_an_off_by_one_exponent(shift, monkeypatch):
-    # the factor 1 - q^n occurs on the left side only (j - i + 1 = n at
-    # i = 1, j = n); moving its exponent by one must break the identity
+    # the factor 1 - q^n occurs once, in the numerator only (j - i + 1 = n
+    # at i = 1, j = n); moving its exponent by one must break the identity
     times = qpoly._times_one_minus_q_pow
     for n in (2, 3, 7, 20):
         monkeypatch.setattr(
@@ -166,14 +173,15 @@ def test_height_check_fails_on_an_off_by_one_exponent(shift, monkeypatch):
             "_times_one_minus_q_pow",
             lambda coeffs, k, n=n: times(coeffs, k + shift if k == n else k),
         )
-        assert not height_identity_check(n), n
+        for check in HEIGHT_ROUTES:
+            assert not check(n), (check.__name__, n)
     monkeypatch.undo()
-    assert all(height_identity_check(n) for n in (2, 3, 7, 20))
+    assert all(check(n) for check in HEIGHT_ROUTES for n in (2, 3, 7, 20))
 
 
 def test_height_check_fails_on_a_shifted_q_integer(monkeypatch):
-    # the right side carries [n]_q! on top of the factor both sides share;
-    # replacing its factor [n]_q by [n+1]_q must break the identity
+    # [n]_q! is built from its factors [k]_q on one side only; replacing its
+    # factor [n]_q by [n+1]_q must break the identity
     times = qpoly._times_q_integer
     for n in (2, 3, 7, 20):
         monkeypatch.setattr(
@@ -181,9 +189,10 @@ def test_height_check_fails_on_a_shifted_q_integer(monkeypatch):
             "_times_q_integer",
             lambda coeffs, k, n=n: times(coeffs, k + 1 if k == n else k),
         )
-        assert not height_identity_check(n), n
+        for check in HEIGHT_ROUTES:
+            assert not check(n), (check.__name__, n)
     monkeypatch.undo()
-    assert all(height_identity_check(n) for n in (2, 3, 7, 20))
+    assert all(check(n) for check in HEIGHT_ROUTES for n in (2, 3, 7, 20))
 
 
 coeff_lists = st.lists(st.integers(-10**30, 10**30), max_size=12)
@@ -238,7 +247,7 @@ def dense_product_formula(subset):
     size = len(subset)
     num = one_minus_q_pow(3) ** size
     for k in range(1, n + 1):
-        num = num * one_minus_q_pow(k)
+        num = one_minus_q_pow(k) * num  # the sparse factor first skips its zeros
     den = one_minus_q_pow(2) ** size * one_minus_q_pow(1) ** n
     return exact_div(num, den)
 
@@ -251,6 +260,13 @@ def random_special(rng, n, size):
 def test_product_formula_matches_dense_oracle():
     for n in range(1, 13):
         for i_set in enumerate_special(n):
+            assert product_formula(i_set) == dense_product_formula(i_set), i_set
+    # the largest special I, {1, 3, 5, ...}, has floor(n/2) members, so its
+    # ratios use up every factor 1 + q of [n]_q!; {2, 4, 6, ...} does too
+    # when n is odd
+    for n in range(1, 61):
+        for first in (1, 2):
+            i_set = SimpleSubset(n, range(first, n, 2))
             assert product_formula(i_set) == dense_product_formula(i_set), i_set
     rng = random.Random(60)
     for _ in range(5):
