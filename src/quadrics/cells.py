@@ -23,11 +23,22 @@ the fixed-point listings use the equivalent local comparison of
 sum is one call of `kernel.cell_census`, which folds the choice of K
 into its DP: one orbit K is the interval K <= K <= K, the subvariety
 indexed by I is {} <= K <= I, and the full variety lets every special K
-in. The engine keeps nothing between calls. `poincare_sum` holds the one
-memo of this layer, the polynomial of each I asked for: the `km`,
-`duality` and `euler` checks of `verify` each ask for the same I, so it
-runs one census per I, not three. The fixed-K censuses of the per-orbit
-closed-form check are never asked for twice and are not kept.
+in. The engine keeps nothing between calls. This layer keeps four memos,
+each an unbounded lru_cache, so each is bounded only by what one run
+asks for; per rank n there are F(n+1) special subsets (F the Fibonacci
+numbers):
+- `poincare_sum`, the polynomial of each special I asked for: the `km`,
+  `duality` and `euler` checks of `verify` each ask for the same I, so it
+  runs one census per I, not three;
+- `_pairing_supports`, per special K given to `r_set`: n - |K| short
+  tuples;
+- `_r_and_descents`, per special K of the descent check: the distinct
+  (R_K(w), descents of w) pairs, at most |W^K| of them;
+- `_closed_form_factors`, per (n, |K|, |I|) of the per-orbit closed-form
+  check, at most (n // 2 + 1)^2 per rank: one polynomial of degree about
+  n^2 / 2.
+The fixed-K censuses of the per-orbit closed-form check are never asked
+for twice and are not kept.
 
 The listings are generated as plain rows (`fixed_point_rows`,
 `fixed_point_rows_full_variety`): for each K in turn, the rows

@@ -11,22 +11,23 @@ boundary strata of the variety of complete quadrics: the stratum indexed
 by I is regular (one unipotent fixed point) exactly when I is special,
 and the classifier rediscovers that by linear algebra alone.
 
-The classifier reads each block of the flag of type K^c fixed by e off
-block_sizes; that this flag is unique is checked by the tests, which
-count the e-stable flags over F_p. The fixed-quadric system is kept in
-one format, sparse integer rows {column: coefficient}: the anti-diagonal
-solve splits them by anti-diagonal, and the rank reduces them
-fraction-free; the tests widen them into dense rows for a solve and a
-rank over the rationals. Matrices are tuples of rows of ints, and every
-basis entry lies in {-1, 0, 1}; only the dense test oracle
-nullspace_basis leaves the integers.
+The classifier reads the blocks of the flag of type K^c fixed by e off
+the runs of K: a run of r members is one block of size r + 1, and every
+other position is a block of size 1. That this flag is unique is checked
+by the tests, which count the e-stable flags over F_p. The fixed-quadric
+system is kept in one format, sparse integer rows {column: coefficient}:
+the anti-diagonal solve splits them by anti-diagonal, and the rank
+reduces them fraction-free; the tests widen them into dense rows for a
+solve and a rank over the rationals. Matrices are tuples of rows of
+ints, and every basis entry lies in {-1, 0, 1}; only the dense test
+oracle nullspace_basis leaves the integers.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from quadrics.parabolic import SimpleSubset
 
@@ -314,19 +315,6 @@ def fixed_quadric_space(m: int) -> FixedQuadricSpace:
 
 # --- regularity classifier ---------------------------------------------------
 
-def block_sizes(n: int, members: tuple[int, ...]) -> tuple[int, ...]:
-    """Sizes of the successive quotients of the fixed flag of type K^c:
-    the gaps of {0} + K^c + {n}. Defined for arbitrary K inside [n-1]."""
-    inside = set(members)
-    dims = [i for i in range(1, n) if i not in inside] + [n]
-    sizes = []
-    prev = 0
-    for d in dims:
-        sizes.append(d - prev)
-        prev = d
-    return tuple(sizes)
-
-
 class RegularityWitness(NamedTuple):
     """An orbit K and a block of its fixed flag carrying unipotent-fixed
     nondegenerate quadrics beyond the base point."""
@@ -342,78 +330,15 @@ class RegularityResult(NamedTuple):
     witness: Optional[RegularityWitness] = None
 
 
-def _first_witness_members(
-    n: int, members: tuple[int, ...], block_ok: Callable[[int], bool]
-) -> Optional[tuple[int, ...]]:
-    """The lexicographically first non-empty K inside members (sorted)
-    whose fixed flag of type K^c has only blocks of sizes m with
-    block_ok(m), or None when no such K exists.
-
-    A run of r consecutive members of K makes one block of size r + 1, and
-    every other position of [n] is a block of size 1.
-
-    When block_ok(1) holds, the first run of a passing K passes on its own
-    and is a prefix of K, so the first K is one run: the earliest stretch
-    of consecutive members that reaches a passing size, cut at the shortest
-    passing size. A size is tested when a stretch first reaches it.
-
-    Otherwise the blocks tile [n] with sizes at least 2, so K is [n-1]
-    minus the cuts between blocks. The block after a cut holds a later
-    member of K, so a K that includes a member sorts before one that cuts
-    it, and the first K makes each block as long as the rest of [n] can
-    still be tiled. longest[a] is that length for a block starting at a,
-    0 when none fits; it is filled in from the right, then walked.
-    """
-    if block_ok(1):
-        tested = run = prev = 0
-        for i in members:
-            run = run + 1 if i == prev + 1 else 1
-            prev = i
-            if run > tested:
-                tested = run
-                if block_ok(run + 1):
-                    return tuple(range(i - run + 1, i + 1))
-        return None
-    inside = set(members)
-    passes = [False, False]
-    longest = [0] * (n + 1)
-    reach = 0
-    for a in range(n, 0, -1):
-        # reach: how many of a, a + 1, ... are members in a row, so a block
-        # starting at a spans at most reach + 1 positions
-        reach = reach + 1 if a in inside else 0
-        while len(passes) <= reach + 1:
-            passes.append(block_ok(len(passes)))
-        longest[a] = next(
-            (m for m in range(reach + 1, 1, -1) if passes[m] and (a + m > n or longest[a + m])), 0
-        )
-    if not longest[1]:
-        return None
-    found: list[int] = []
-    a = 1
-    while a <= n:
-        found.extend(range(a, a + longest[a] - 1))
-        a += longest[a]
-    return tuple(found)
-
-
 @lru_cache(maxsize=4096)
-def _witness(n: int, found: tuple[int, ...]) -> RegularityWitness:
-    """The witness for the orbit K = found of rank n: the first block of
-    its fixed flag whose fixed quadrics form a family of dimension at
-    least 2, else its first block of size at least 2. Many I share their
-    first K, so the witness is assembled once per (n, K)."""
-    start = 1
-    fallback = None
-    for m in block_sizes(n, found):
-        if fixed_quadric_space(m).dimension >= 2:
-            break
-        if fallback is None and m >= 2:
-            fallback = (start, m)
-        start += m
-    else:
-        start, m = fallback
-    return RegularityWitness(SimpleSubset(n, found), start, m, fixed_quadric_space(m))
+def _witness(n: int, start: int, size: int) -> RegularityWitness:
+    """The witness K = {start, ..., start + size - 2} of rank n: one run,
+    so its fixed flag has one block of size at least 2, of this size at
+    this start. Many I share their first K, so the witness is assembled
+    once per (n, start, size)."""
+    return RegularityWitness(
+        SimpleSubset(n, range(start, start + size - 1)), start, size, fixed_quadric_space(size)
+    )
 
 
 def regularity_classifier(i_set: SimpleSubset) -> RegularityResult:
@@ -424,17 +349,29 @@ def regularity_classifier(i_set: SimpleSubset) -> RegularityResult:
     unique fixed flag of type K^c, a fixed point of the K-orbit is a choice
     of unipotent-fixed nondegenerate quadric on every block of the flag, so
     the K-orbit contributes exactly when every block size m has
-    fixed_quadric_space(m).has_nondegenerate. K = empty contributes the
-    single base point (all blocks of size 1); any other contributing K is a
-    witness against regularity, and the witness reported is the first in
-    the order of I.subsets(), read off the runs of the members of I rather
-    than by listing its subsets. I is deliberately not assumed
-    special: agreement of this classifier with the no-consecutive-members
-    test is a theorem, re-proved here computationally.
+    fixed_quadric_space(m).has_nondegenerate. A run of r consecutive
+    members of K makes one block of size r + 1, and every other position of
+    [n] is a block of size 1. A block of size 1 carries a nondegenerate
+    fixed quadric (RuntimeError if the solve says otherwise), so K = empty
+    contributes the single base point, and any other contributing K is a
+    witness against regularity. The first run of a contributing K
+    contributes on its own and sorts no later than K, so the first witness
+    in the order of I.subsets() is one run: the earliest stretch of
+    consecutive members of I that reaches a passing block size, cut at the
+    shortest passing size. One loop over the members finds it, testing
+    each size once, when a stretch first reaches it. I is deliberately not
+    assumed special: agreement of this classifier with the
+    no-consecutive-members test is a theorem, re-proved here
+    computationally.
     """
-    found = _first_witness_members(
-        i_set.n, i_set.members, lambda m: fixed_quadric_space(m).has_nondegenerate
-    )
-    if found is None:
-        return RegularityResult(True, None)
-    return RegularityResult(False, _witness(i_set.n, found))
+    if not fixed_quadric_space(1).has_nondegenerate:
+        raise RuntimeError("a block of size 1 carries no nondegenerate fixed quadric")
+    tested = run = prev = 0
+    for i in i_set.members:
+        run = run + 1 if i == prev + 1 else 1
+        prev = i
+        if run > tested:
+            tested = run
+            if fixed_quadric_space(run + 1).has_nondegenerate:
+                return RegularityResult(False, _witness(i_set.n, i - run + 1, run + 1))
+    return RegularityResult(True, None)

@@ -45,7 +45,7 @@ class SimpleSubset:
 
     def __init__(self, n: int, members: Iterable[int] = ()):
         if n < 1:
-            raise ValueError("ambient rank must be at least 1")
+            raise ValueError("rank must be at least 1")
         members = tuple(sorted(members))
         # the members are walked only to name the first offending one
         if len(set(members)) != len(members):

@@ -30,8 +30,10 @@ Nothing under src/ imports this file.
 * rational_rank (Gaussian elimination over Fractions) checks the
   fraction-free `nilfix.row_echelon_rank`.
 * fixed_flag and fixed_flag_uniqueness_oracle (a count of flags over F_p)
-  check that the regular nilpotent fixes one flag of each type K^c, the
-  flag whose blocks `nilfix.block_sizes` lists for the classifier.
+  check that the regular nilpotent fixes one flag of each type K^c.
+  block_sizes lists that flag's blocks for any K; the subset walk of the
+  classifier oracle in the tests reads them off it, and checks the run
+  loop of `nilfix.regularity_classifier`.
 """
 
 from __future__ import annotations
@@ -282,6 +284,23 @@ def fixed_flag(k: SimpleSubset) -> list[int]:
                 if x != 0 and i >= d:
                     raise RuntimeError(f"span of first {d} coordinates is not stable")
     return dims
+
+
+def block_sizes(n: int, members: tuple[int, ...]) -> tuple[int, ...]:
+    """Sizes of the successive quotients of the fixed flag of type K^c:
+    the gaps of {0} + K^c + {n}. Defined for arbitrary K inside [n-1].
+
+    >>> block_sizes(7, (1, 2, 5))
+    (3, 1, 2, 1)
+    """
+    inside = set(members)
+    dims = [i for i in range(1, n) if i not in inside] + [n]
+    sizes = []
+    prev = 0
+    for d in dims:
+        sizes.append(d - prev)
+        prev = d
+    return tuple(sizes)
 
 
 def _all_rref(n: int, d: int, p: int) -> list[tuple[tuple[int, ...], ...]]:

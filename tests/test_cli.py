@@ -230,6 +230,18 @@ def test_verify_rejects_rank_below_one(check, n, capsys):
     assert captured.err == "error: rank must be at least 1\n"
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+@pytest.mark.parametrize("command", ["poincare", "cells"])
+def test_subset_commands_reject_rank_below_one_in_the_same_words(command, n, capsys):
+    # the subset is parsed against n, so the rank check there must read
+    # as it does on every other path
+    code = main([command, "--n", n, "--subset", "none"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: rank must be at least 1\n"
+
+
 def test_verify_regularity_of_a_large_special_subset(capsys):
     # 1,200 members: the witness search must neither list subsets nor
     # recurse once per member

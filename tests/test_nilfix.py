@@ -11,7 +11,6 @@ from quadrics.nilfix import (
     NotSymmetricError,
     RegularityResult,
     RegularityWitness,
-    block_sizes,
     fixed_quadric_space,
     fixed_system_rows,
     infinitesimal_fixed_condition,
@@ -22,7 +21,13 @@ from quadrics.nilfix import (
 )
 from quadrics.parabolic import NotSpecialError, SimpleSubset, enumerate_special
 
-from oracles import PrimeTooSmallError, fixed_flag, fixed_flag_uniqueness_oracle, rational_rank
+from oracles import (
+    PrimeTooSmallError,
+    block_sizes,
+    fixed_flag,
+    fixed_flag_uniqueness_oracle,
+    rational_rank,
+)
 
 
 def identity(m):
@@ -395,17 +400,21 @@ def test_regularity_classifier_agrees_with_specialness():
 def enumeration_classifier(i_set):
     """Oracle for regularity_classifier: walk every K inside I in the order
     of I.subsets() and report the first non-empty K whose blocks all carry
-    a nondegenerate fixed quadric."""
+    a nondegenerate fixed quadric, with the first of its blocks whose
+    family has dimension at least 2, else its first block of size at least
+    2. It reads the spaces through the module, so a test that patches
+    nilfix.fixed_quadric_space patches the oracle too."""
     n = i_set.n
+    space = nilfix.fixed_quadric_space
     for k in i_set.subsets():
         if not k.members:
             continue
         sizes = block_sizes(n, k.members)
-        if all(fixed_quadric_space(m).has_nondegenerate for m in sizes):
+        if all(space(m).has_nondegenerate for m in sizes):
             start = 1
             chosen = None
             for m in sizes:
-                if fixed_quadric_space(m).dimension >= 2:
+                if space(m).dimension >= 2:
                     chosen = (start, m)
                     break
                 start += m
@@ -418,8 +427,7 @@ def enumeration_classifier(i_set):
                     start += m
             block_start, block_size = chosen
             return RegularityResult(
-                False,
-                RegularityWitness(k, block_start, block_size, fixed_quadric_space(block_size)),
+                False, RegularityWitness(k, block_start, block_size, space(block_size))
             )
     return RegularityResult(True, None)
 
@@ -443,48 +451,71 @@ def test_classifier_matches_enumeration_oracle():
                 assert getattr(got.witness, field) == getattr(expected.witness, field), (i_set, field)
 
 
-def test_witness_search_matches_enumeration_for_any_block_rule():
-    # the search must not lean on which block sizes happen to pass: for
+def test_witness_search_matches_enumeration_for_any_block_rule(monkeypatch, fresh_fixed_quadric_cache):
+    # the classifier must not lean on which block sizes happen to pass: for
     # every rule on the sizes 1..n with n <= 7, and for random rules up to
-    # n = 10, including ones that reject blocks of size 1, it finds the
-    # same first K as walking the subsets
-    def check(n, members, allowed):
-        expected = next(
-            (
-                k.members
-                for k in SimpleSubset(n, members).subsets()
-                if k.members and all(m in allowed for m in block_sizes(n, k.members))
-            ),
-            None,
-        )
-        assert nilfix._first_witness_members(n, members, allowed.__contains__) == expected
+    # n = 10, it finds the same first witness as walking the subsets; a
+    # rule that rejects blocks of size 1 leaves no base point and is refused
+    def check(n, allowed, member_sets):
+        fresh_fixed_quadric_cache()
+        # the real families, but nondegenerate exactly at the allowed sizes
+        spaces = {
+            m: fixed_quadric_space(m)._replace(has_nondegenerate=m in allowed) for m in range(1, n + 1)
+        }
+        monkeypatch.setattr(nilfix, "fixed_quadric_space", spaces.__getitem__)
+        for members in member_sets:
+            i_set = SimpleSubset(n, members)
+            if 1 not in allowed:
+                with pytest.raises(RuntimeError):
+                    regularity_classifier(i_set)
+                continue
+            got = regularity_classifier(i_set)
+            expected = enumeration_classifier(i_set)
+            assert got.regular == expected.regular, (i_set, allowed)
+            if expected.witness is None:
+                assert got.witness is None, (i_set, allowed)
+                continue
+            assert got.witness[:3] == expected.witness[:3], (i_set, allowed)
 
     for n in range(1, 8):
+        member_sets = [i_set.members for i_set in every_subset(n)]
         for rule in range(1 << n):
-            allowed = {m for m in range(1, n + 1) if rule >> (m - 1) & 1}
-            for i_set in every_subset(n):
-                check(n, i_set.members, allowed)
+            check(n, {m for m in range(1, n + 1) if rule >> (m - 1) & 1}, member_sets)
     rng = random.Random(11)
     for _ in range(400):
         allowed = {m for m in range(1, 12) if rng.random() < 0.5}
         n = rng.randint(1, 10)
-        check(n, tuple(sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))), allowed)
+        check(n, allowed, [tuple(sorted(rng.sample(range(1, n), rng.randint(0, n - 1))))])
 
 
-def test_witness_search_remembers_failed_states():
-    # only blocks of size 2 allowed: the one candidate K = {1, 3, ..., 39}
-    # needs 39, which is missing, so no K passes; the search must still
-    # make few block tests, not one per prefix of the Fibonacci-many K
+def test_classifier_tests_each_block_size_once(monkeypatch, fresh_fixed_quadric_cache):
+    # a size is tested when a stretch of members first reaches it, so one
+    # run of 1999 members costs at most 2n size tests, and runs that never
+    # grow past 2 cost the tests of the sizes 1, 2 and 3 alone; the stand-in
+    # spaces carry no basis, since solving m = 2000 would be wasted work
+    n = 2000
     calls = 0
 
-    def only_pairs(m):
+    def classify(members, allowed):
         nonlocal calls
-        calls += 1
-        assert calls < 100_000, "the witness search re-explores failed states"
-        return m == 2
+        calls = 0
 
-    assert nilfix._first_witness_members(40, tuple(range(1, 39)), only_pairs) is None
-    assert nilfix._first_witness_members(40, tuple(range(1, 40)), only_pairs) == tuple(range(1, 40, 2))
+        def space(m):
+            nonlocal calls
+            calls += 1
+            return FixedQuadricSpace(m, (), m in allowed)
+
+        monkeypatch.setattr(nilfix, "fixed_quadric_space", space)
+        fresh_fixed_quadric_cache()
+        return regularity_classifier(SimpleSubset(n, members))
+
+    assert classify(range(1, n), {1}) == RegularityResult(True, None)
+    assert calls <= 2 * n
+    result = classify(range(1, n), {1, n})
+    assert result.witness[:3] == (SimpleSubset(n, range(1, n)), 1, n)
+    assert calls <= 2 * n
+    assert classify([i for i in range(1, n) if i % 3], {1}) == RegularityResult(True, None)
+    assert calls == 3
 
 
 def test_classifier_does_not_list_subsets(monkeypatch):
