@@ -23,7 +23,8 @@ the fixed-point listings use the equivalent local comparison of
 sum is one call of `kernel.cell_census`, which folds the choice of K
 into its DP: one orbit K is the interval K <= K <= K, the subvariety
 indexed by I is {} <= K <= I, and the full variety lets every special K
-in. The engine keeps nothing between calls. This layer keeps four memos,
+in. The closed forms the sums are compared with are built in `qpoly`.
+The engine keeps nothing between calls. This layer keeps three memos,
 each an unbounded lru_cache, so each is bounded only by what one run
 asks for; per rank n there are F(n+1) special subsets (F the Fibonacci
 numbers):
@@ -33,10 +34,7 @@ numbers):
 - `_pairing_supports`, per special K given to `r_set`: n - |K| short
   tuples;
 - `_r_and_descents`, per special K of the descent check: the distinct
-  (R_K(w), descents of w) pairs, at most |W^K| of them;
-- `_closed_form_factors`, per (n, |K|, |I|) of the per-orbit closed-form
-  check, at most (n // 2 + 1)^2 per rank: one polynomial of degree about
-  n^2 / 2.
+  (R_K(w), descents of w) pairs, at most |W^K| of them.
 The fixed-K censuses of the per-orbit closed-form check are never asked
 for twice and are not kept.
 
@@ -66,12 +64,7 @@ from quadrics.parabolic import (
     minimal_coset_reps,
     require_special,
 )
-from quadrics.qpoly import (
-    QPolynomial,
-    _times_one_plus_q_pow,
-    product_formula,
-    q_factorial,
-)
+from quadrics.qpoly import QPolynomial, orbit_product_formula, product_formula
 from quadrics.symmetric_group import Permutation, WeightVector, simple_root
 
 
@@ -191,34 +184,9 @@ def verify_km(i_set: SimpleSubset) -> bool:
 
 
 def per_orbit_closed_form_check(k: SimpleSubset, i_set: SimpleSubset) -> bool:
-    """Closed form of a single K-addend, verified by cross-multiplication.
-
-    With |K| = k and |I| = l the addend satisfies
-
-        sum_{w in W^K} q^(ell(w)+|K|+s) = (q/(1+q^2))^k ((1+q^2)/(1+q))^l [n]_q!,
-
-    and since K is contained in I, k <= l, so (1+q)^l alone clears it to
-
-        addend * (1+q)^l == q^k * (1+q^2)^(l-k) * [n]_q!.
-
-    The addend is the fixed-K census. Its side is multiplied out one
-    factor 1 + q at a time, each step O(degree); the right side depends on
-    (n, k, l) only and is built once, the same way.
-    """
-    cleared = list(per_orbit_sum(k, i_set).coeffs)
-    for _ in range(len(i_set)):
-        cleared = _times_one_plus_q_pow(cleared, 1)
-    return QPolynomial(cleared) == _closed_form_factors(k.n, len(k), len(i_set))
-
-
-@lru_cache(maxsize=None)
-def _closed_form_factors(n: int, size_k: int, size_l: int) -> QPolynomial:
-    """q^k * (1+q^2)^(l-k) * [n]_q!, the cleared right side of a K-addend
-    with |K| = k, |I| = l."""
-    coeffs = [0] * size_k + list(q_factorial(n).coeffs)
-    for _ in range(size_l - size_k):
-        coeffs = _times_one_plus_q_pow(coeffs, 2)
-    return QPolynomial(coeffs)
+    """Closed form of a single K-addend: the fixed-K census equals
+    `qpoly.orbit_product_formula`, exactly."""
+    return per_orbit_sum(k, i_set) == orbit_product_formula(k.n, len(k), len(i_set))
 
 
 def descent_characterization_check(k: SimpleSubset, i_set: SimpleSubset) -> bool:

@@ -388,6 +388,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for c in checks:
             if c not in ALL_CHECKS:
                 raise ValueError(f"unknown check {c!r}; choose from {', '.join(ALL_CHECKS)}")
+            if checks.count(c) > 1:
+                raise ValueError(f"check {c!r} given twice")
     if n < 1:
         raise ValueError("rank must be at least 1")
     subset = _parse_subset(args.subset, n) if args.subset is not None else None
@@ -400,12 +402,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = _verify_json(n, checks, results, tally)
     elif args.format == "csv":
         report = chain(["check,label,ok\n"], (
-            f"{check},{label},{'pass' if ok else 'FAIL'}\n" for check, label, ok in results
+            f"{check},{_csv_field(label)},{'pass' if ok else 'FAIL'}\n"
+            for check, label, ok in results
         ))
     else:
         report = _verify_text(results, tally)
     _emit(args, report)
     return EXIT_OK if tally[False] == 0 else EXIT_CHECK_FAILED
+
+
+def _csv_field(text: str) -> str:
+    """text as one CSV field: quoted, with its quotes doubled, when it holds
+    a comma, a quote or a line break (RFC 4180), as I={1,3} does."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _verify_json(n: int, checks, results, tally: Counter):

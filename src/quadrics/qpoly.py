@@ -1,20 +1,21 @@
 """Dense polynomials in q with exact integer coefficients: q-integers,
-q-factorials, and the closed product form of the Poincare polynomials of
-the special subvarieties of complete quadrics.
+q-factorials, and the closed product forms behind the Poincare
+polynomials of the special subvarieties of complete quadrics.
 
-Rational functions are never represented. A closed form that is a
-product of ratios (1 - q^a) / (1 - q^b) is walked one ratio at a time on
-a plain coefficient list: one O(degree) step times 1 - q^a, then one
-exact O(degree) step over 1 - q^b, ordered so that every partial product
-is a polynomial. The running list then never grows much past the final
-degree. Products of factors 1 + q^k and [k]_q are built the same way,
-one O(degree) step per factor.
+Rational functions are never represented. Every closed form here is
+[n]_q! (or 1) times a product of ratios (1 - q^a) / (1 - q^b), and one
+walk, `_walk`, takes the ratios one at a time on a plain coefficient
+list: one O(degree) step times 1 - q^a, then one exact O(degree) step
+over 1 - q^b, ordered so that every partial product is a polynomial. The
+running list then never grows much past the final degree. [n]_q! itself
+is built one O(degree) prefix-sum step per factor [k]_q.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate
-from operator import add, sub
+from operator import sub
 from typing import Iterable
 
 from quadrics.parabolic import SimpleSubset, require_special
@@ -223,13 +224,6 @@ def _times_one_minus_q_pow(coeffs: list[int], k: int) -> list[int]:
     return out
 
 
-def _times_one_plus_q_pow(coeffs: list[int], k: int) -> list[int]:
-    """coeffs * (1 + q^k) on coefficient lists, in O(degree)."""
-    out = coeffs + [0] * k
-    out[k:] = map(add, out[k:], coeffs)
-    return out
-
-
 def _over_one_minus_q_pow(coeffs: list[int], k: int) -> list[int]:
     """coeffs / (1 - q^k) on coefficient lists, in O(degree); the inverse
     of _times_one_minus_q_pow. The quotient c satisfies
@@ -245,23 +239,47 @@ def _over_one_minus_q_pow(coeffs: list[int], k: int) -> list[int]:
     return out[:top]
 
 
+def _walk(coeffs: list[int], ratios: Iterable[tuple[int, int]]) -> list[int]:
+    """coeffs times (1 - q^a) / (1 - q^b) for each (a, b) of ratios in
+    order: one O(degree) step times 1 - q^a, then one exact step over
+    1 - q^b, which raises InexactDivisionError on a remainder."""
+    for a, b in ratios:
+        coeffs = _over_one_minus_q_pow(_times_one_minus_q_pow(coeffs, a), b)
+    return coeffs
+
+
 def product_formula(subset: SimpleSubset) -> QPolynomial:
     """Closed form of the q-Poincare polynomial of the special subvariety
     indexed by subset I inside the rank-n variety of complete quadrics:
 
         ((1 - q^3) / (1 - q^2))^|I| * prod_{k=1}^{n} (1 - q^k) / (1 - q).
 
-    Starts from [n]_q! and walks the |I| ratios, one step times 1 - q^3
-    and one over 1 - q^2 each, every step O(degree). Each division is
-    exact: a special I has |I| <= floor(n/2), the number of even k <= n,
-    and each such [k]_q carries one factor 1 + q. An InexactDivisionError
-    escaping this function means an implementation bug.
+    Walks the |I| ratios (3, 2) from [n]_q!. Each division is exact: a
+    special I has |I| <= floor(n/2), the number of even k <= n, and each
+    such [k]_q carries one factor 1 + q. An InexactDivisionError escaping
+    this function means an implementation bug.
     """
     require_special(subset)
-    coeffs = list(q_factorial(subset.n).coeffs)
-    for _ in range(len(subset)):
-        coeffs = _over_one_minus_q_pow(_times_one_minus_q_pow(coeffs, 3), 2)
-    return QPolynomial(coeffs)
+    return QPolynomial(_walk(list(q_factorial(subset.n).coeffs), [(3, 2)] * len(subset)))
+
+
+@lru_cache(maxsize=None)
+def orbit_product_formula(n: int, size_k: int, size_i: int) -> QPolynomial:
+    """Closed form of the K-addend of the cell sum of the subvariety
+    indexed by I, with |K| = k contained in |I| = l in rank n:
+
+        (q/(1+q^2))^k ((1+q^2)/(1+q))^l [n]_q! = q^k (1+q^2)^(l-k) [n]_q! / (1+q)^l.
+
+    Walks (4, 2), that is 1 + q^2, l - k times from [n]_q!, then (1, 2),
+    that is 1 / (1 + q), l times, and shifts by q^k. Each step over
+    1 - q^2 is exact for l <= floor(n/2), the number of factors 1 + q in
+    [n]_q!. Remembered per (n, k, l): at most (n // 2 + 1)^2 polynomials
+    of degree about n^2 / 2 per rank.
+    """
+    if not 0 <= size_k <= size_i <= n // 2:
+        raise ValueError(f"need 0 <= |K| <= |I| <= {n // 2}, got {size_k}, {size_i}")
+    ratios = [(4, 2)] * (size_i - size_k) + [(1, 2)] * size_i
+    return QPolynomial([0] * size_k + _walk(list(q_factorial(n).coeffs), ratios))
 
 
 def height_identity_check(n: int) -> bool:
@@ -269,21 +287,17 @@ def height_identity_check(n: int) -> bool:
 
         prod_{1<=i<j<=n} (1 - q^(j-i+1)) / (1 - q^(j-i)) = [n]_q!
 
-    A gap d = j - i occurs n - d times. Taking the gaps in increasing
-    order, each pair is one step times 1 - q^(d+1) and one exact step over
-    1 - q^d. Every partial product is a polynomial: after the gaps below d
-    and t pairs of gap d it is n - 1 factors 1 - q^k over (1 - q)^(n-1),
-    and each factor carries one 1 - q. So a step that leaves a remainder
-    means the identity fails, as does a walk that ends anywhere but
-    [n]_q!.
+    A gap d = j - i occurs n - d times, and the ratios (d + 1, d) are
+    walked from [1] with the gaps in increasing order. Every partial
+    product is a polynomial: after the gaps below d and t ratios of gap d
+    it is n - 1 factors 1 - q^k over (1 - q)^(n-1), and each factor
+    carries one 1 - q. So a step that leaves a remainder means the
+    identity fails, as does a walk that ends anywhere but [n]_q!.
     """
     if n < 1:
         raise ValueError("rank must be at least 1")
-    coeffs = [1]
     try:
-        for d in range(1, n):
-            for _ in range(n - d):
-                coeffs = _over_one_minus_q_pow(_times_one_minus_q_pow(coeffs, d + 1), d)
+        coeffs = _walk([1], ((d + 1, d) for d in range(1, n) for _ in range(n - d)))
     except InexactDivisionError:
         return False
     return QPolynomial(coeffs) == q_factorial(n)

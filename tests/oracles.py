@@ -26,7 +26,8 @@ Nothing under src/ imports this file.
   `qpoly.height_identity_check`. closed_form_doubly_cleared is the
   per-orbit closed form with both denominators, (1 + q^2)^|K| and
   (1 + q)^|I|, cleared by dense products; it checks
-  `cells.per_orbit_closed_form_check`, which clears (1 + q)^|I| alone.
+  `cells.per_orbit_closed_form_check`, whose `qpoly.orbit_product_formula`
+  divides them out by the same ratio walk.
 * rational_rank (Gaussian elimination over Fractions) checks the
   fraction-free `nilfix.row_echelon_rank`.
 * fixed_flag and fixed_flag_uniqueness_oracle (a count of flags over F_p)

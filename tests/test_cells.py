@@ -26,7 +26,15 @@ from quadrics.parabolic import (
     enumerate_special,
     minimal_coset_reps,
 )
-from quadrics.qpoly import QPolynomial, is_palindromic, monomial, q_integer, product_formula
+from quadrics import qpoly
+from quadrics.qpoly import (
+    QPolynomial,
+    is_palindromic,
+    monomial,
+    orbit_product_formula,
+    product_formula,
+    q_integer,
+)
 from quadrics.symmetric_group import Permutation, identity
 
 from oracles import (
@@ -229,16 +237,16 @@ def test_per_orbit_closed_form_check():
 def test_closed_form_factors_are_built_once_per_size(monkeypatch):
     pairs = [(k, i_set) for i_set in enumerate_special(7) for k in i_set.subsets()]
     sizes = {(len(k), len(i_set)) for k, i_set in pairs}
-    cells._closed_form_factors.cache_clear()
+    orbit_product_formula.cache_clear()
     products = []
     multiply = QPolynomial.__mul__
     monkeypatch.setattr(
         QPolynomial, "__mul__", lambda a, b: products.append(1) or multiply(a, b)
     )
-    # the factors are built once per size, and no pair takes a dense product
+    # the closed forms are built once per size, and no pair takes a dense product
     for _ in range(2):
         assert all(per_orbit_closed_form_check(k, i_set) for k, i_set in pairs)
-        assert cells._closed_form_factors.cache_info().misses == len(sizes)
+        assert orbit_product_formula.cache_info().misses == len(sizes)
         assert products == []
 
 
@@ -251,6 +259,26 @@ def test_closed_form_check_fails_on_a_wrong_addend(monkeypatch):
         for k in i_set.subsets():
             assert not per_orbit_closed_form_check(k, i_set), (k, i_set)
             assert not closed_form_doubly_cleared(k, i_set), (k, i_set)
+
+
+@pytest.mark.parametrize("shift", [2, -2])
+def test_closed_form_check_fails_on_a_shifted_one_plus_q2_step(shift, monkeypatch):
+    # the walk's (4, 2) step, 1 + q^2, is taken once per member of I - K;
+    # moving its exponent to 6 or 2 keeps the walk exact but wrong, which
+    # the shipped check must see for every K strictly inside I, while the
+    # oracle, which does not walk, still holds
+    times = qpoly._times_one_minus_q_pow
+    monkeypatch.setattr(
+        qpoly, "_times_one_minus_q_pow", lambda coeffs, k: times(coeffs, k + shift if k == 4 else k)
+    )
+    orbit_product_formula.cache_clear()
+    try:
+        for i_set in enumerate_special(6):
+            for k in i_set.subsets():
+                assert per_orbit_closed_form_check(k, i_set) is (k == i_set), (k, i_set)
+                assert closed_form_doubly_cleared(k, i_set), (k, i_set)
+    finally:
+        orbit_product_formula.cache_clear()
 
 
 def test_descent_characterization_check():

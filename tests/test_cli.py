@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -210,6 +211,27 @@ def test_verify_unknown_check():
     assert code == 2
 
 
+def test_verify_refuses_a_check_given_twice(capsys):
+    for checks in ("km,km", "height, km,height"):
+        code = main(["verify", "--n", "2", "--checks", checks])
+        captured = capsys.readouterr()
+        assert code == 2, checks
+        assert captured.out == ""
+        assert captured.err == f"error: check {checks.split(',')[0].strip()!r} given twice\n"
+
+
+def test_verify_csv_rows_parse_into_check_label_ok(capsys):
+    # labels such as I={1,3} hold commas and are quoted
+    for n in (4, 7):
+        code, out = run_main(capsys, "verify", "--n", str(n), "--format", "csv")
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["check", "label", "ok"]
+        assert len(rows) == len(out.splitlines()) - 1
+        assert all(len(row) == 3 and row[2] == "pass" for row in rows), rows
+        assert ["km", "I={1,3}", "pass"] in rows
+
+
 @pytest.mark.parametrize("spelling", [",", " "])
 def test_verify_empty_check_list_is_invalid_input(spelling, capsys):
     code = main(["verify", "--n", "4", "--checks", spelling])
@@ -409,10 +431,12 @@ def verify_report_oracle(n, checks, subset, fmt):
         }
         return json.dumps(doc, indent=2) + "\n"
     if fmt == "csv":
-        lines = ["check,label,ok"]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["check", "label", "ok"])
         for item, ok in zip(items, results):
-            lines.append(f"{item[0]},{item[2]},{'pass' if ok else 'FAIL'}")
-        return "\n".join(lines) + "\n"
+            writer.writerow([item[0], item[2], "pass" if ok else "FAIL"])
+        return out.getvalue()
     lines = [
         f"{item[0]} {item[2]}: {'pass' if ok else 'FAIL'}"
         for item, ok in zip(items, results)

@@ -15,6 +15,7 @@ from quadrics.qpoly import (
     is_palindromic,
     monomial,
     one_minus_q_pow,
+    orbit_product_formula,
     product_formula,
     q_factorial,
     q_integer,
@@ -205,11 +206,30 @@ def test_times_one_minus_q_pow_is_dense_multiplication(coeffs, k):
     assert QPolynomial(out) == QPolynomial(coeffs) * one_minus_q_pow(k)
 
 
-@given(coeff_lists, exponents)
-def test_times_one_plus_q_pow_is_dense_multiplication(coeffs, k):
-    out = qpoly._times_one_plus_q_pow(coeffs, k)
-    assert QPolynomial(out) == QPolynomial(coeffs) * (ONE + monomial(k))
-    assert len(out) == len(coeffs) + k
+def dense_walk(p, ratios):
+    """Oracle: p times each (1 - q^a) / (1 - q^b) in turn, by dense
+    multiplication and exact_div."""
+    for a, b in ratios:
+        p = exact_div(p * one_minus_q_pow(a), one_minus_q_pow(b))
+    return p
+
+
+@given(coeff_lists, st.lists(st.tuples(exponents, exponents, st.booleans()), max_size=5))
+def test_walk_is_the_dense_chain_of_exact_divisions(coeffs, steps):
+    # a step's flag premultiplies the start by its 1 - q^b, so that some
+    # walks go through exactly and others meet a remainder
+    start = QPolynomial(coeffs)
+    for _, b, exact in steps:
+        if exact:
+            start = start * one_minus_q_pow(b)
+    ratios = [(a, b) for a, b, _ in steps]
+    try:
+        expected = dense_walk(start, ratios)
+    except InexactDivisionError:
+        with pytest.raises(InexactDivisionError):
+            qpoly._walk(list(start.coeffs), ratios)
+    else:
+        assert QPolynomial(qpoly._walk(list(start.coeffs), ratios)) == expected
 
 
 @given(coeff_lists, exponents)
@@ -273,3 +293,25 @@ def test_product_formula_matches_dense_oracle():
         i_set = random_special(rng, 60, 15)
         assert i_set.is_special() and len(i_set) == 15
         assert product_formula(i_set) == dense_product_formula(i_set), i_set
+
+
+def test_orbit_product_formula_clears_to_the_dense_product():
+    # times (1 + q)^l it is q^k (1 + q^2)^(l - k) [n]_q!: every k <= l <=
+    # floor(n/2) up to n = 16, and at l = floor(n/2), where the walk uses up
+    # every factor 1 + q of [n]_q!, k in {0, l} up to n = 60
+    one_plus_q, one_plus_q2 = QPolynomial([1, 1]), QPolynomial([1, 0, 1])
+    factorial = ONE
+    for n in range(1, 61):
+        factorial = factorial * q_integer(n)  # dense_q_factorial(n), one factor on
+        top = n // 2
+        if n <= 16:
+            sizes = [(k, l) for l in range(top + 1) for k in range(l + 1)]
+        else:
+            sizes = [(0, top), (top, top)]
+        for k, l in sizes:
+            left = orbit_product_formula(n, k, l) * one_plus_q**l
+            assert left == monomial(k) * one_plus_q2 ** (l - k) * factorial, (n, k, l)
+    with pytest.raises(ValueError):
+        orbit_product_formula(6, 2, 1)
+    with pytest.raises(ValueError):
+        orbit_product_formula(6, 0, 4)
