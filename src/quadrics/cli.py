@@ -36,7 +36,6 @@ import argparse
 import math
 import os
 import sys
-from collections import Counter
 from functools import cache
 from importlib import import_module
 from itertools import chain, islice
@@ -301,8 +300,10 @@ def _i_items(special: bool):
             if special:
                 require_special(subset)
             return [(f"I={subset}", subset)]
-        universe = _special_members(n) if special else _lex_subsets(tuple(range(1, n)))
-        return ((f"I={subset_str(m)}", SimpleSubset(n, m)) for m in universe)
+        trusted = SimpleSubset._trusted
+        if special:
+            return (("I={" + label + "}", trusted(n, m, True)) for m, label in _special_members(n))
+        return (("I={" + label + "}", trusted(n, m)) for m, label in _lex_subsets(tuple(range(1, n))))
     return items
 
 
@@ -366,15 +367,22 @@ CHECKS = {
 ALL_CHECKS = tuple(CHECKS)
 
 
-def _verify_results(reports, tally: Counter):
+def _verify_results(reports, tally: dict):
     """(check, label, ok) for each item of the report in order, each item
-    checked as the report reaches it; tally counts the oks."""
+    checked as the report reaches it; tally[True] and tally[False] count
+    the passes and failures once each check is done."""
     for check, items in reports:
         test = CHECKS[check].test
+        passed = failed = 0
         for label, payload in items:
             ok = test(payload)
-            tally[bool(ok)] += 1
+            if ok:
+                passed += 1
+            else:
+                failed += 1
             yield check, label, ok
+        tally[True] += passed
+        tally[False] += failed
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -396,7 +404,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # listing the items refuses a --subset that a check needs special
     reports = [(check, CHECKS[check].items(n, subset)) for check in checks]
     _load_capped(args, *chain.from_iterable(CHECKS[c].layers for c in checks))
-    tally = Counter()
+    tally = {True: 0, False: 0}
     results = _verify_results(reports, tally)
     if args.format == "json":
         report = _verify_json(n, checks, results, tally)
@@ -419,7 +427,7 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _verify_json(n: int, checks, results, tally: Counter):
+def _verify_json(n: int, checks, results, tally: dict):
     import json  # imported by the JSON reports alone
 
     dumps = json.dumps
@@ -435,7 +443,7 @@ def _verify_json(n: int, checks, results, tally: Counter):
     yield "  ]," + dumps(tail, indent=2)[1:] + "\n"
 
 
-def _verify_text(results, tally: Counter):
+def _verify_text(results, tally: dict):
     for check, label, ok in results:
         yield f"{check} {label}: {'pass' if ok else 'FAIL'}\n"
     yield f"result: {tally[True]} passed, {tally[False]} failed\n"
@@ -531,17 +539,22 @@ def cmd_special(args: argparse.Namespace) -> int:
         else:
             _emit(args, [f"{count}\n"])
         return EXIT_OK
-    members = _special_members(n)
+    # each format walks the subsets with its own separator, so every label
+    # is one concatenation from its parent's (see _json_ints for the JSON)
     if args.format == "json":
         _emit(args, chain(
             [f'{{\n  "n": {n},\n  "count": {count},\n  "subsets": [\n'],
-            _json_items("    " + _json_ints(m, "    ") for m in members),
+            _json_items(
+                "    [\n      " + label + "\n    ]" if label else "    []"
+                for _, label in _special_members(n, ",\n      ")
+            ),
             ["  ]\n}\n"],
         ))
     elif args.format == "csv":
-        _emit(args, chain(["I\n"], (";".join(map(str, m)) + "\n" for m in members)))
+        # the empty subset is one empty field, written "" as csv.writer does
+        _emit(args, chain(["I\n"], ((label or '""') + "\n" for _, label in _special_members(n, ";"))))
     else:
-        _emit(args, (subset_str(m) + "\n" for m in members))
+        _emit(args, ("{" + label + "}\n" for _, label in _special_members(n)))
     return EXIT_OK
 
 

@@ -11,6 +11,15 @@ API boundary, for every consumer of W_K machinery. W_K itself is never
 listed by the package; the tests build it from its generators to check
 W^K by the unique factorization w = u x with u in W^K and x in W_K.
 
+Subsets are listed by one lexicographic walk, `_lex_chains`, which yields
+each member tuple with its label, the members joined by a separator
+(comma by default). Each tuple and label extend their parent's by one
+concatenation, so no listing re-joins a whole subset: `verify` and
+`special` write the labels as they come, and the walk's members become
+SimpleSubsets through `SimpleSubset._trusted`, which skips the checks the
+walk already guarantees (increasing, in range) and takes specialness from
+the walk when it is known, as for every subset of a special subset.
+
 W^K is generated directly, never by filtering S_n: a depth-first search
 fills the one-line images left to right in increasing order of value,
 placing a value at position p+1 only above w(p) when p is in K. The
@@ -88,10 +97,23 @@ class SimpleSubset:
             m |= 1 << (i - 1)
         return m
 
+    @classmethod
+    def _trusted(cls, n: int, members: tuple[int, ...], special: bool | None = None) -> SimpleSubset:
+        """A subset of members known to increase and lie in [1, n-1],
+        unchecked; special, when the caller knows it, is taken as given."""
+        subset = object.__new__(cls)
+        subset.n = n
+        subset.members = members
+        subset._special = 1 not in map(sub, members[1:], members) if special is None else special
+        return subset
+
     def subsets(self) -> Iterator[SimpleSubset]:
         """All subsets of this subset, in lexicographic member order."""
-        for members in _lex_subsets(self.members):
-            yield SimpleSubset(self.n, members)
+        n, trusted = self.n, SimpleSubset._trusted
+        # a subset of a special subset is special
+        special = True if self._special else None
+        for members, _ in _lex_subsets(self.members):
+            yield trusted(n, members, special)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
@@ -125,32 +147,44 @@ def subset_str(members: Iterable[int]) -> str:
     return "{" + ",".join(map(str, members)) + "}"
 
 
-def _lex_chains(items: tuple[int, ...], gap: int) -> Iterator[tuple[int, ...]]:
-    """Every subsequence of items whose chosen positions lie at least gap
-    apart, the empty one first, in lexicographic order. The chosen
-    positions are kept on an explicit stack, so no length overflows the
-    interpreter's recursion limit."""
-    yield ()
-    stack: list[int] = []
+def _lex_chains(items: tuple[int, ...], gap: int, separator: str = ",") -> Iterator[tuple[tuple[int, ...], str]]:
+    """(chain, label) for every subsequence of items whose chosen positions
+    lie at least gap apart, the empty one first, in lexicographic order;
+    the label is the chain's members joined by separator. Each chain and
+    label extend their parent's by one concatenation. The parents are kept
+    on an explicit stack, so no length overflows the interpreter's
+    recursion limit."""
+    heads = list(map(str, items))
+    tails = [separator + head for head in heads]
+    chain: tuple[int, ...] = ()
+    label = ""
+    yield chain, label
+    stack: list[tuple[int, tuple[int, ...], str]] = []  # (position chosen, the parent's chain, its label)
     following = 0  # the smallest position that may be chosen next
+    size = len(items)
     while True:
-        if following < len(items):
-            stack.append(following)
-            yield tuple(map(items.__getitem__, stack))
+        if following < size:
+            stack.append((following, chain, label))
+            chain += (items[following],)
+            label = label + tails[following] if label else heads[following]
+            yield chain, label
             following += gap
         elif stack:
-            following = stack.pop() + 1
+            following, chain, label = stack.pop()
+            following += 1
         else:
             return
 
 
-def _lex_subsets(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _lex_subsets(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], str]]:
+    """(subset, label) for every subset of items, in lexicographic order."""
     return _lex_chains(items, 1)
 
 
-def _special_members(n: int) -> Iterator[tuple[int, ...]]:
-    """The special subsets of [n-1], in lexicographic order."""
-    return _lex_chains(tuple(range(1, n)), 2)
+def _special_members(n: int, separator: str = ",") -> Iterator[tuple[tuple[int, ...], str]]:
+    """(members, label) for the special subsets of [n-1], in lexicographic
+    order."""
+    return _lex_chains(tuple(range(1, n)), 2, separator)
 
 
 def require_special(subset: SimpleSubset) -> None:
@@ -170,7 +204,7 @@ def enumerate_special(n: int) -> list[SimpleSubset]:
     """
     if n < 1:
         raise ValueError("rank must be at least 1")
-    return [SimpleSubset(n, members) for members in _special_members(n)]
+    return [SimpleSubset._trusted(n, members, True) for members, _ in _special_members(n)]
 
 
 def special_count(n: int) -> int:
@@ -236,7 +270,13 @@ def _coset_rep_search(n: int, members: tuple[int, ...], references: Iterable[tup
     for i in members:
         ascent[i] = True
     against = list(map(dict(references).get, range(n)))  # i: the index images[i] is compared with, or None
+    # the leaves place indices n-2 and n-1 together; what does not depend on
+    # the prefix is settled once: whether index n-1 is compared with index
+    # n-2, with an earlier index (last_below), and whether it may descend
     last = against[-1]
+    last_on_leaf = last == n - 2
+    last_below = last is not None and not last_on_leaf
+    leaf_descends = not ascent[n - 1]
     # (prefix, unplaced values in increasing order, inversions so far, hits
     # so far); children are pushed largest value first so the smallest pops first
     stack = [((), tuple(range(1, n + 1)), 0, ())]
@@ -251,13 +291,13 @@ def _coset_rep_search(n: int, members: tuple[int, ...], references: Iterable[tup
             # the last two values are placed together, one stack entry per pair
             # of leaves; index p+1 is compared with index p or below top_last
             a, b = unplaced
-            top_last = 0 if last is None or last == p else prefix[last]
+            top_last = prefix[last] if last_below else 0
             if a > floor:
                 tail = hits + (p,) if a < top else hits
                 yield prefix + (a, b), length, (tail + (p + 1,) if b < top_last else tail)
-            if b > floor and not ascent[p + 1]:
+            if leaf_descends and b > floor:
                 tail = hits + (p,) if b < top else hits
-                yield prefix + (b, a), length + 1, (tail + (p + 1,) if last == p or a < top_last else tail)
+                yield prefix + (b, a), length + 1, (tail + (p + 1,) if last_on_leaf or a < top_last else tail)
             continue
         for idx in range(len(unplaced) - 1, -1, -1):
             value = unplaced[idx]

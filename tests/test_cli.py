@@ -378,8 +378,9 @@ def test_cells_n7_matches_the_benchmark_digest(fmt):
 
 def special_report_oracle(n, fmt, count_only):
     """The `special` report as the list-building formatter wrote it before
-    the listing streamed, every subset held at once. Each report ends in
-    one added newline, so the csv keeps the blank row of the empty subset."""
+    the listing streamed, every subset held at once. Each report but the
+    csv ends in one added newline; the csv is written by csv.writer, which
+    writes the empty subset's one empty field as ""."""
     if count_only:
         count = special_count(n)
         if fmt == "json":
@@ -390,7 +391,10 @@ def special_report_oracle(n, fmt, count_only):
         doc = {"n": n, "count": len(subsets), "subsets": [list(s.members) for s in subsets]}
         return json.dumps(doc, indent=2) + "\n"
     if fmt == "csv":
-        return "\n".join(["I"] + [";".join(str(i) for i in s.members) for s in subsets]) + "\n"
+        sink = io.StringIO()
+        rows = [["I"]] + [[";".join(str(i) for i in s.members)] for s in subsets]
+        csv.writer(sink, lineterminator="\n").writerows(rows)
+        return sink.getvalue()
     return "\n".join(str(s) for s in subsets) + "\n"
 
 
@@ -503,8 +507,56 @@ def test_streamed_special_and_verify_reports_match_list_formatter(
 
 
 def test_special_csv_keeps_the_row_of_the_empty_subset(capsys):
-    # n = 1 has one special subset, the empty one: a blank row under the header
-    assert run_main(capsys, "special", "--n", "1", "--format", "csv") == (0, "I\n\n")
+    # n = 1 has one special subset, the empty one: one empty field under the
+    # header, which a blank line would not be
+    assert run_main(capsys, "special", "--n", "1", "--format", "csv") == (0, 'I\n""\n')
+    for n in range(1, 8):
+        out = run_main(capsys, "special", "--n", str(n), "--format", "csv")[1]
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == special_count(n), n
+        assert rows[0] == {"I": ""}
+
+
+# sha256 of the reports for n = 1..top, concatenated in order, as the
+# formatters wrote them before each label was built along the walk; the
+# special csv digest is of the report with the empty subset's row blank
+LABELLED_WALK_DIGESTS = {
+    ("verify", "text"): "ae01dce6bf52e956ec3d6c03743d49a71a54b7717446b2aa656be779a0183cea",
+    ("verify", "csv"): "c1869d074abbfbe529a89f0fec629cf85f188d3ffa26bed85aae08c6577d3027",
+    ("verify", "json"): "ec4f1076331d14dbc3716c1a39473abb3e2037354d90943deb8dcce8c2fd2e87",
+    ("special", "text"): "51b4b8a1754f5c0f6f49d328cf6178675d8e0b233c32dac3e74990b8de1acbe5",
+    ("special", "csv"): "9fbaab08f0f943311cfc13f22f964e088bea3a1584034dd53c3030cb47c4b2a9",
+    ("special", "json"): "30e7ca21d5f07a7665731cd43956330ee8fe21791b55b2e908830698e199aeb4",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(LABELLED_WALK_DIGESTS))
+def test_labelled_walk_keeps_the_reports(command, fmt, capsys):
+    top, argv = (16, ["verify", "--checks", "regularity"]) if command == "verify" else (20, ["special"])
+    digest = hashlib.sha256()
+    for n in range(1, top + 1):
+        code, out = run_main(capsys, *argv, "--n", str(n), "--format", fmt)
+        assert code == 0, n
+        if (command, fmt) == ("special", "csv"):
+            assert out.startswith('I\n""\n'), n
+            out = "I\n\n" + out[len('I\n""\n'):]
+        digest.update(out.encode())
+    assert digest.hexdigest() == LABELLED_WALK_DIGESTS[command, fmt]
+
+
+def test_regularity_classifies_each_subset_once(monkeypatch, capsys):
+    original = cli.regularity_classifier
+    calls = []
+
+    def counted(i_set):
+        calls.append(i_set.members)
+        return original(i_set)
+
+    monkeypatch.setattr(cli, "regularity_classifier", counted)
+    for n in range(1, 11):
+        calls.clear()
+        assert run_main(capsys, "verify", "--n", str(n), "--checks", "regularity")[0] == 0
+        assert len(calls) == len(set(calls)) == 2 ** (n - 1), n
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
