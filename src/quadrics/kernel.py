@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from math import factorial
 
-# the engine's name, as `quadrics.kernel_backend` and benchmark records report it
+# the engine's name, as benchmark records report it
 BACKEND = "pure-python"
 
 

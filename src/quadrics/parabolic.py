@@ -31,7 +31,6 @@ placed. It keeps at most n(n+1)/2 partial permutations pending.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import sub
 from typing import Iterable, Iterator
 
@@ -315,25 +314,57 @@ def minimal_coset_reps(k: SimpleSubset) -> Iterator[Permutation]:
 
 
 def minimal_coset_rep_count(k: SimpleSubset) -> int:
-    """|W^K|, by a recursive count rather than the n!/2^|K| formula, so it
+    """|W^K|, by a recurrence on n rather than the n!/2^|K| formula, so it
     stays an independent cross-check of the latter. Only counts are kept,
-    one int per reduced (n, K), in the memo of `_coset_rep_count`."""
+    one int per reduced (n, K), in `_coset_rep_counts`."""
     require_special(k)
     return _coset_rep_count(k.n, k.members)
 
 
-@lru_cache(maxsize=None)
+# |W^K| for each reduced (n, K) the count has reached
+_coset_rep_counts: dict[tuple[int, tuple[int, ...]], int] = {}
+
+
+def _coset_rep_terms(n: int, members: tuple[int, ...]) -> list[tuple[tuple[int, tuple[int, ...]], int]]:
+    """The terms of the count of (n, members), by the position p of the
+    entry n: p is not a member, since nothing exceeds n; deleting p
+    satisfies the pair (p-1, p) and shifts the later pairs down by one.
+    In a run of non-members after member s, the p past s share one reduced
+    case; so the terms are listed per run, as (reduced case, multiplicity)."""
+    terms = []
+    start = 1
+    for end in members + (n + 1,):
+        if end > start:  # start..end-1 is a run of non-members
+            shifted = tuple(i if i < start else i - 1 for i in members)
+            times = end - start
+            if start > 1:  # p = start deletes the pair (start-1, start)
+                terms.append(((n - 1, tuple(i for i in shifted if i != start - 1)), 1))
+                times -= 1
+            if times:
+                terms.append(((n - 1, shifted), times))
+        start = end + 1
+    return terms
+
+
 def _coset_rep_count(n: int, members: tuple[int, ...]) -> int:
     """The number of permutations of [n] ascending at every position in
-    members, counted by the position p of the entry n. p is not a member,
-    since nothing exceeds n; deleting p satisfies the pair (p-1, p) and
-    shifts the later pairs down by one."""
-    if n == 1:
-        return 1
-    total = 0
-    for p in range(1, n + 1):
-        if p not in members:
-            rest = tuple(i if i < p else i - 1 for i in members if i != p - 1)
-            total += _coset_rep_count(n - 1, rest)
-    return total
+    members. The reduced cases wait on an explicit stack until their
+    terms are counted, so no rank overflows the interpreter's recursion
+    limit."""
+    counts = _coset_rep_counts
+    counts[1, ()] = 1
+    stack = [(n, members)]
+    while stack:
+        case = stack[-1]
+        if case in counts:
+            stack.pop()
+            continue
+        terms = _coset_rep_terms(*case)
+        pending = [term for term, _ in terms if term not in counts]
+        if pending:
+            stack.extend(pending)
+        else:
+            counts[case] = sum(counts[term] * times for term, times in terms)
+            stack.pop()
+    return counts[n, members]
 

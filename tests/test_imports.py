@@ -1,14 +1,16 @@
-"""What a command imports, and the lazily resolved public names of the
-package."""
+"""What a command imports, and the layer names cli binds when it does."""
 
-import importlib
+import builtins
+import dis
 import os
 import subprocess
 import sys
+import types
+from pathlib import Path
 
 import pytest
 
-import quadrics
+from quadrics import cli
 
 # Runs quadrics.cli.main on argv in a fresh interpreter and prints the exit
 # code, then every module that importing the CLI and running the command
@@ -74,99 +76,41 @@ def test_a_command_imports_only_the_layers_it_runs(argv, needed, absent):
     assert not absent & set(loaded)
 
 
-# every public name of the package, with the submodule attribute it stands for
-EXPORTS = {
-    **dict.fromkeys(
-        [
-            "CellRecord",
-            "NotMinimalRepError",
-            "SubsetViolationError",
-            "descent_characterization_check",
-            "fixed_points",
-            "fixed_points_full_variety",
-            "full_variety_orbit_sum",
-            "per_orbit_closed_form_check",
-            "per_orbit_sum",
-            "poincare_full_variety",
-            "poincare_sum",
-            "r_set",
-            "verify_km",
-        ],
-        "cells",
-    ),
-    **dict.fromkeys(
-        [
-            "FixedQuadricSpace",
-            "NotSymmetricError",
-            "RegularityResult",
-            "RegularityWitness",
-            "fixed_quadric_space",
-            "infinitesimal_fixed_condition",
-            "regular_nilpotent",
-            "regularity_classifier",
-        ],
-        "nilfix",
-    ),
-    **dict.fromkeys(
-        [
-            "NotSpecialError",
-            "SimpleSubset",
-            "enumerate_special",
-            "is_minimal_rep",
-            "longest_element",
-            "minimal_coset_rep_count",
-            "minimal_coset_reps",
-        ],
-        "parabolic",
-    ),
-    **dict.fromkeys(
-        [
-            "InexactDivisionError",
-            "QPolynomial",
-            "exact_div",
-            "height_identity_check",
-            "is_palindromic",
-            "monomial",
-            "product_formula",
-            "q_factorial",
-            "q_integer",
-        ],
-        "qpoly",
-    ),
-    **dict.fromkeys(
-        [
-            "Permutation",
-            "WeightVector",
-            "identity",
-            "simple_root",
-        ],
-        "symmetric_group",
-    ),
-}
+def code_objects(code):
+    """code and every code object nested in it (functions, classes,
+    comprehensions)."""
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from code_objects(const)
 
 
-@pytest.mark.parametrize("name", sorted(EXPORTS))
-def test_public_name_resolves_to_the_submodule_object(name):
-    own = getattr(importlib.import_module(f"quadrics.{EXPORTS[name]}"), name)
-    assert getattr(quadrics, name) is own
-    namespace = {}
-    exec(f"from quadrics import {name}", namespace)
-    assert namespace[name] is own
-    assert name in dir(quadrics)
-    assert name in quadrics.__all__
-
-
-def test_kernel_backend_and_version():
-    from quadrics import kernel_backend
-    from quadrics.kernel import BACKEND
-
-    assert kernel_backend is BACKEND
-    assert "kernel_backend" in dir(quadrics) and "kernel_backend" in quadrics.__all__
-    assert quadrics.__version__ == "0.1.0"
-
-
-def test_unknown_public_name_raises_attribute_error():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        quadrics.no_such_name
-    with pytest.raises(ImportError):
-        exec("from quadrics import no_such_name", {})
+def test_cli_binds_every_layer_name_it_calls():
+    # A name missing from _LAYERS would surface only as a NameError on the
+    # path of the command that calls it; read every global load instead.
+    source = Path(cli.__file__).read_text()
+    module = compile(source, cli.__file__, "exec")
+    module_names = set()
+    loaded = set()
+    for code in code_objects(module):
+        for instruction in dis.get_instructions(code):
+            if instruction.opname == "STORE_GLOBAL" or (
+                code is module and instruction.opname == "STORE_NAME"
+            ):
+                module_names.add(instruction.argval)
+            elif instruction.opname in ("LOAD_GLOBAL", "LOAD_NAME"):
+                loaded.add(instruction.argval)
+    layer_names = {name for names in cli._LAYERS.values() for name in names}
+    unbound = {
+        name
+        for name in loaded - module_names - layer_names - set(dir(builtins))
+        if not (name.startswith("__") and name.endswith("__"))
+    }
+    assert not unbound
+    # the rest of _LAYERS is there for the benchmark tracer alone
+    assert layer_names - loaded == {
+        "fixed_points",
+        "fixed_points_full_variety",
+        "full_variety_orbit_sum",
+        "per_orbit_sum",
+    }

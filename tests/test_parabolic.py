@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -9,7 +10,7 @@ from quadrics.kernel import r_references
 from quadrics.parabolic import (
     NotSpecialError,
     SimpleSubset,
-    _coset_rep_count,
+    _coset_rep_counts,
     _lex_chains,
     _special_members,
     enumerate_special,
@@ -299,7 +300,7 @@ def enumerated_coset_rep_counts(n):
 
 
 def test_recursive_count_matches_enumeration_oracle():
-    _coset_rep_count.cache_clear()
+    _coset_rep_counts.clear()
     for n in range(1, 9):
         for k, expected in enumerated_coset_rep_counts(n).items():
             assert minimal_coset_rep_count(k) == expected, k
@@ -309,6 +310,12 @@ def test_recursive_count_matches_formula_past_the_enumeration():
     for n in range(9, 17):
         for k in enumerate_special(n):
             assert minimal_coset_rep_count(k) == math.factorial(n) // 2 ** len(k)
+
+
+def test_recursive_count_passes_the_recursion_limit():
+    n = sys.getrecursionlimit() + 200
+    assert minimal_coset_rep_count(SimpleSubset(n, ())) == math.factorial(n)
+    assert minimal_coset_rep_count(SimpleSubset(n, (1,))) == math.factorial(n) // 2
 
 
 def test_minimal_coset_reps_in_lexicographic_order():
@@ -323,7 +330,7 @@ def test_minimal_coset_reps_in_lexicographic_order():
 
 
 def test_counting_coset_reps_stores_nothing():
-    _coset_rep_count.cache_clear()
+    _coset_rep_counts.clear()
     tracemalloc.start()
     try:
         count = minimal_coset_rep_count(SimpleSubset(8, ()))
