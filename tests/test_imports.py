@@ -1,7 +1,9 @@
-"""What a command imports, and the layer names cli binds when it does."""
+"""What a command imports, the layer names cli binds when it does, and the
+module each public name is imported from."""
 
 import builtins
 import dis
+import importlib
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import quadrics
 from quadrics import cli
 
 # Runs quadrics.cli.main on argv in a fresh interpreter and prints the exit
@@ -114,3 +117,58 @@ def test_cli_binds_every_layer_name_it_calls():
         "full_variety_orbit_sum",
         "per_orbit_sum",
     }
+
+
+# every public name, by the module that defines it; the package itself
+# re-exports none of them
+PUBLIC = {
+    "cells": (
+        "CellRecord NotMinimalRepError SubsetViolationError"
+        " descent_characterization_check fixed_points fixed_points_full_variety"
+        " full_variety_orbit_sum per_orbit_closed_form_check per_orbit_sum"
+        " poincare_full_variety poincare_sum r_set verify_km"
+    ),
+    "nilfix": (
+        "FixedQuadricSpace NotSymmetricError RegularityResult RegularityWitness"
+        " fixed_quadric_space infinitesimal_fixed_condition regular_nilpotent"
+        " regularity_classifier"
+    ),
+    "parabolic": (
+        "NotSpecialError SimpleSubset enumerate_special is_minimal_rep"
+        " longest_element minimal_coset_rep_count minimal_coset_reps"
+    ),
+    "qpoly": (
+        "InexactDivisionError QPolynomial exact_div height_identity_check"
+        " is_palindromic monomial product_formula q_factorial q_integer"
+    ),
+    "symmetric_group": "Permutation WeightVector identity simple_root",
+}
+MODULE_OF = {name: module for module, names in PUBLIC.items() for name in names.split()}
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_OF))
+def test_public_name_resolves_to_the_submodule_object(name):
+    module = f"quadrics.{MODULE_OF[name]}"
+    own = getattr(importlib.import_module(module), name)
+    assert own.__module__ == module
+    namespace = {}
+    exec(f"from {module} import {name}", namespace)
+    assert namespace[name] is own
+    assert not hasattr(quadrics, name)
+    with pytest.raises(ImportError):
+        exec(f"from quadrics import {name}", {})
+
+
+def test_kernel_backend_and_version():
+    from quadrics.kernel import BACKEND
+
+    assert BACKEND == "pure-python"
+    assert not hasattr(quadrics, "kernel_backend")
+    assert quadrics.__version__ == "0.1.0"
+
+
+def test_unknown_public_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        quadrics.no_such_name
+    with pytest.raises(ImportError):
+        exec("from quadrics import no_such_name", {})
