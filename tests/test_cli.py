@@ -877,6 +877,22 @@ def test_verify_failure_exit_code_is_one(monkeypatch, capsys):
     assert "FAIL" in out
 
 
+def test_euler_check_fails_on_a_miscounted_coset_rep_set(monkeypatch, capsys):
+    count = cli.minimal_coset_rep_count
+
+    def miscounted(k):
+        return count(k) + (k.members == (3,))
+
+    monkeypatch.setattr(cli, "minimal_coset_rep_count", miscounted)
+    code, out = run_main(capsys, "verify", "--n", "4", "--checks", "euler")
+    assert code == 1
+    # only the I containing K = {3} sum the miscount
+    assert [line for line in out.splitlines() if line.endswith("FAIL")] == [
+        "euler I={1,3}: FAIL",
+        "euler I={3}: FAIL",
+    ]
+
+
 def fixed_quadrics_report(capsys):
     code, out = run_main(capsys, "verify", "--n", "4", "--checks", "fixed-quadrics")
     return code, out.splitlines()
