@@ -16,18 +16,19 @@ comparing that sum with the closed product form is the generalized
 Kostant-Macdonald identity this package verifies.
 
 `r_set` is that weight-vector definition of R_K(w); the descent check
-evaluates R through it once per (K, w), and so do the tests, which also
-build the cell dimensions from it one (K, w) at a time. The cell sums and
-the fixed-point listings use the equivalent local comparison of
-`quadrics.kernel` instead, with `r_set` as its test oracle. Each cell
-sum is one call of `kernel.cell_census`, which folds the choice of K
-into its DP: one orbit K is the interval K <= K <= K, the subvariety
-indexed by I is {} <= K <= I, and the full variety lets every special K
-in. The closed forms the sums are compared with are built in `qpoly`.
-The engine keeps nothing between calls. This layer keeps three memos,
-each an unbounded lru_cache, so each is bounded only by what one run
-asks for; per rank n there are F(n+1) special subsets (F the Fibonacci
-numbers):
+evaluates R through it once per (K, w), against the descents the W^K
+search reads off its comparisons of each index with the one before, and
+so do the tests, which also build the cell dimensions from it one (K, w)
+at a time. The cell sums and the fixed-point listings use the equivalent
+local comparison of `quadrics.kernel` instead, with `r_set` as its test
+oracle. Each cell sum is one call of `kernel.cell_census`, which folds
+the choice of K into its DP: one orbit K is the interval K <= K <= K,
+the subvariety indexed by I is {} <= K <= I, and the full variety lets
+every special K in. The closed forms the sums are compared with are built
+in `qpoly`. The engine keeps nothing between calls. This layer keeps
+three memos, each an unbounded lru_cache, so each is bounded only by what
+one run asks for; per rank n there are F(n+1) special subsets (F the
+Fibonacci numbers):
 - `poincare_sum`, the polynomial of each special I asked for: the `km`,
   `duality` and `euler` checks of `verify` each ask for the same I, so it
   runs one census per I, not three;
@@ -38,21 +39,26 @@ numbers):
 The fixed-K censuses of the per-orbit closed-form check are never asked
 for twice and are not kept.
 
-The listings are generated as plain rows (`fixed_point_rows`,
-`fixed_point_rows_full_variety`): for each K in turn, the rows
-(w.images, R_K(w), dim_x, dim_xi) over W^K, straight from the depth-first
-search, which carries ell(w) and, as its hits against the references of
-`kernel.r_references` (listed once per K), R_K(w). No object is built
-per row, so a caller that formats K once per group and writes the rows in
-fixed-size chunks (as `quadrics cells` does) holds one chunk at a time.
-`fixed_points` and `fixed_points_full_variety` list the same rows as
-CellRecord objects.
+The listings are generated as text rows (`fixed_point_rows`,
+`fixed_point_rows_full_variety`), in a layout the caller gives as a
+separator and two formatters, head(K) and tail(R, dim_x, dim_xi). Each
+row is one concatenation: head(K), formatted once per K; the images as
+the depth-first search joins them with the separator; and the tail. The
+search carries ell(w) and, as its hits against the references of
+`kernel.r_references` (listed once per K), R_K(w). The tail depends on
+(K, w) only through ell(w) + |K| and R_K(w), so each distinct pair is
+formatted once per listing and remembered until the listing ends: at
+most a few thousand short strings at n = 8. No object is built per row,
+so a caller that writes the rows in fixed-size chunks (as `quadrics
+cells` does) holds one chunk at a time. `fixed_points` and
+`fixed_points_full_variety` list the same fixed points as CellRecord
+objects, from the search's image tuples.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from quadrics.kernel import cell_census, r_references
 from quadrics.parabolic import (
@@ -61,7 +67,7 @@ from quadrics.parabolic import (
     is_minimal_rep,
     longest_element,
     minimal_coset_rep_images,
-    minimal_coset_reps,
+    minimal_coset_reps,  # not called here; the benchmark tracer wraps it by name
     require_special,
 )
 from quadrics.qpoly import QPolynomial, orbit_product_formula, product_formula
@@ -209,66 +215,91 @@ def descent_characterization_check(k: SimpleSubset, i_set: SimpleSubset) -> bool
 
 @lru_cache(maxsize=None)
 def _r_and_descents(k: SimpleSubset) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """The distinct pairs (r_set(k, w), w.right_descents) over w in W^K."""
+    """The distinct pairs (r_set(k, w), right descents of w) over w in W^K.
+    The search compares each index i with i - 1, so its hits are the i with
+    w(i) > w(i+1), 1-based: the right descents."""
+    trusted = Permutation._trusted  # the search yields bijections only
+    adjacent = [(i, i - 1) for i in range(1, k.n)]
     return tuple(
-        dict.fromkeys((r_set(k, w), w.right_descents) for w in minimal_coset_reps(k))
+        dict.fromkeys(
+            (r_set(k, trusted(images)), descents)
+            for images, _, descents in minimal_coset_rep_images(k, adjacent)
+        )
     )
 
 
-# One fixed point as a plain row: (w.images, R_K(w), dim_x, dim_xi), with
-# dim_xi None when no target subvariety is involved.
-Row = tuple[tuple[int, ...], tuple[int, ...], int, Optional[int]]
+# The fields of one fixed point (K, w) in a listing: head(K) before the
+# one-line images, which are joined by the separator, and tail(R_K(w),
+# dim_x, dim_xi) after them, with dim_xi None when no target subvariety is
+# involved.
+Head = Callable[[SimpleSubset], str]
+Tail = Callable[[tuple[int, ...], int, Optional[int]], str]
 
 
-def fixed_point_rows(i_set: SimpleSubset) -> Iterator[tuple[SimpleSubset, Iterator[Row]]]:
+def fixed_point_rows(i_set: SimpleSubset, separator: str, head: Head, tail: Tail) -> Iterator[str]:
     """The torus fixed points of the subvariety indexed by special I as
-    plain rows, grouped by K: (K, rows over W^K) for each K contained in I
-    by lexicographic subset order, w by lexicographic one-line order. Each
-    K's rows are to be read before the next K is asked for. I is checked
-    before the first group."""
+    text rows head(K) + images + tail(R, dim_x, dim_xi), K over the subsets
+    of I in lexicographic order, w in W^K in lexicographic one-line order.
+    I is checked before the first row."""
     require_special(i_set)
-    return _rows(i_set.subsets(), frozenset(i_set.complement()))
+    return _text_rows(i_set.subsets(), frozenset(i_set.complement()), separator, head, tail)
 
 
-def fixed_point_rows_full_variety(n: int) -> Iterator[tuple[SimpleSubset, Iterator[Row]]]:
-    """The torus fixed points of the full rank-n variety as plain rows,
-    grouped by special K as in fixed_point_rows; dim_xi is None. n is
-    checked before the first group."""
+def fixed_point_rows_full_variety(n: int, separator: str, head: Head, tail: Tail) -> Iterator[str]:
+    """The torus fixed points of the full rank-n variety as text rows, over
+    the special K, as in fixed_point_rows; dim_xi is None. n is checked
+    before the first row."""
     if n < 1:
         raise ValueError("rank must be at least 1")
-    return _rows(enumerate_special(n), None)
+    return _text_rows(enumerate_special(n), None, separator, head, tail)
 
 
-def _rows(
-    ks: Iterable[SimpleSubset], outside: Optional[frozenset[int]]
-) -> Iterator[tuple[SimpleSubset, Iterator[Row]]]:
+def _dims(forced: int, r: tuple[int, ...], outside: Optional[frozenset[int]]) -> tuple[int, Optional[int]]:
+    """(dim_x, dim_xi) of the cell at (K, w) from forced = ell(w) + |K| and
+    R = R_K(w): forced + |R|, less the directions of R outside I when I^c
+    is given."""
+    dim_x = forced + len(r)
+    return dim_x, None if outside is None else dim_x - len(outside.intersection(r))
+
+
+def _text_rows(
+    ks: Iterable[SimpleSubset], outside: Optional[frozenset[int]], separator: str, head: Head, tail: Tail
+) -> Iterator[str]:
+    """Rows over W^K for each K of ks in turn, each one concatenation:
+    head(K), formatted once per K, the images as the search joins them, and
+    the tail. The tail depends on (K, w) only through ell(w) + |K| and
+    R_K(w), so it is formatted once per distinct pair in the listing."""
+    tails: dict[tuple[int, tuple[int, ...]], str] = {}
     for k in ks:
-        yield k, _orbit_rows(k, outside)
+        head_k, size = head(k), len(k)
+        for text, length, r in minimal_coset_rep_images(k, r_references(k.n, k.members), separator):
+            key = length + size, r
+            tail_text = tails.get(key)
+            if tail_text is None:
+                tail_text = tails[key] = tail(r, *_dims(key[0], r, outside))
+            yield head_k + text + tail_text
 
 
-def _orbit_rows(k: SimpleSubset, outside: Optional[frozenset[int]]) -> Iterator[Row]:
-    """Rows over W^K: R by the local rule of `kernel`, ell(w) as carried by
-    the search, and dim_xi when the complement of I is given."""
-    base = len(k)
-    for images, length, r in minimal_coset_rep_images(k, r_references(k.n, k.members)):
-        dim_x = length + base + len(r)
-        yield images, r, dim_x, None if outside is None else dim_x - len(outside.intersection(r))
+def _records(ks: Iterable[SimpleSubset], outside: Optional[frozenset[int]]) -> list[CellRecord]:
+    """One CellRecord per w in W^K over ks in turn, with R_K(w) by the local
+    rule of `kernel` and ell(w) as carried by the search."""
+    return [
+        CellRecord(k, Permutation(images), r, *_dims(length + len(k), r, outside))
+        for k in ks
+        for images, length, r in minimal_coset_rep_images(k, r_references(k.n, k.members))
+    ]
 
 
 def fixed_points(i_set: SimpleSubset) -> list[CellRecord]:
-    """One CellRecord per row of fixed_point_rows(i_set), in its order."""
-    return [
-        CellRecord(k, Permutation(images), r, dim_x, dim_xi)
-        for k, rows in fixed_point_rows(i_set)
-        for images, r, dim_x, dim_xi in rows
-    ]
+    """The fixed points of fixed_point_rows(i_set), in its order, as
+    CellRecords."""
+    require_special(i_set)
+    return _records(i_set.subsets(), frozenset(i_set.complement()))
 
 
 def fixed_points_full_variety(n: int) -> list[CellRecord]:
-    """One CellRecord per row of fixed_point_rows_full_variety(n), in its
-    order; dim_xi stays unset."""
-    return [
-        CellRecord(k, Permutation(images), r, dim_x, dim_xi)
-        for k, rows in fixed_point_rows_full_variety(n)
-        for images, r, dim_x, dim_xi in rows
-    ]
+    """The fixed points of fixed_point_rows_full_variety(n), in its order,
+    as CellRecords; dim_xi stays unset."""
+    if n < 1:
+        raise ValueError("rank must be at least 1")
+    return _records(enumerate_special(n), None)

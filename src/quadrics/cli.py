@@ -36,7 +36,6 @@ import argparse
 import math
 import os
 import sys
-from functools import cache
 from importlib import import_module
 from itertools import chain, islice
 from typing import Callable, NamedTuple
@@ -451,75 +450,79 @@ def _verify_text(results, tally: dict):
 
 # --- cells ---------------------------------------------------------------------
 
-# The report is formatted from the plain rows of the listing, each K's fields
-# once per K and each distinct R field once (R-sets are subsets of [n-1], so
-# a listing has few of them).
+# Each report row is one concatenation made in `cells`: the writer's head
+# for K, formatted once per K, the images as the W^K search joins them, and
+# the writer's tail for (R, dim_X, dim_XI), formatted once per distinct tail
+# in the listing. The JSON and CSV writers pass the rows on as they come.
 def cmd_cells(args: argparse.Namespace) -> int:
     n = args.n
     subset = _parse_subset(args.subset, n) if args.subset is not None else None
     if subset is not None:
         require_special(subset)
     _load_capped(args, "quadrics.cells")
-    groups = fixed_point_rows(subset) if subset is not None else fixed_point_rows_full_variety(n)
+
+    def rows(separator, head, tail):
+        if subset is None:
+            return fixed_point_rows_full_variety(n, separator, head, tail)
+        return fixed_point_rows(subset, separator, head, tail)
+
     if args.format == "json":
-        _emit(args, _cells_json(n, subset, groups))
+        _emit(args, _cells_json(n, subset, rows))
     elif args.format == "csv":
-        _emit(args, _cells_csv(n, groups))
+        _emit(args, _cells_csv(n, rows))
     else:
-        _emit(args, _cells_text(n, groups))
+        _emit(args, _cells_text(n, rows))
     return EXIT_OK
 
 
-def _images_format(n: int, separator: str) -> str:
-    """A %-format taking a rank-n w.images tuple to its images joined by
-    separator."""
-    return separator.join(["%d"] * n)
-
-
-def _cells_json(n: int, subset, groups):
+def _cells_json(n: int, subset, rows):
     subset_field = "null" if subset is None else _json_ints(subset.members, "  ")
-    w_format = _images_format(n, ",\n        ")
-    r_fields = cache(lambda r: _json_ints(r, "      "))
-
-    yield f'{{\n  "n": {n},\n  "subset": {subset_field},\n  "records": [\n'
-    # every record but the first opens with the comma ending the one before
-    separator = ""
-    for k, rows in groups:
-        head = f'    {{\n      "K": {_json_ints(k.members, "      ")},\n      "w": [\n        '
-        for images, r, dim_x, dim_xi in rows:
-            yield (
-                f"{separator}{head}{w_format % images}\n      ],\n"
-                f'      "R": {r_fields(r)},\n'
-                f'      "dim_X": {dim_x},\n'
-                f'      "dim_XI": {"null" if dim_xi is None else dim_xi}\n'
-                "    }"
-            )
-            separator = ",\n"
-    yield "\n  ]\n}\n"
+    records = rows(",\n        ", _json_head, _json_tail)
+    # every record opens with the comma ending the one before, but the first
+    first = next(records).removeprefix(",\n")
+    opening = f'{{\n  "n": {n},\n  "subset": {subset_field},\n  "records": [\n'
+    return chain([opening + first], records, ["\n  ]\n}\n"])
 
 
-def _cells_csv(n: int, groups):
-    w_format = _images_format(n, one_line_separator(n))
-    r_fields = cache(lambda r: ";".join(map(str, r)))
-    yield "K,w,R,dim_X,dim_XI\n"
-    for k, rows in groups:
-        k_field = ";".join(map(str, k.members))
-        for images, r, dim_x, dim_xi in rows:
-            xi_field = "" if dim_xi is None else dim_xi
-            yield f"{k_field},{w_format % images},{r_fields(r)},{dim_x},{xi_field}\n"
+def _json_head(k: SimpleSubset) -> str:
+    return f',\n    {{\n      "K": {_json_ints(k.members, "      ")},\n      "w": [\n        '
 
 
-def _cells_text(n: int, groups):
-    w_format = _images_format(n, one_line_separator(n))
-    r_fields = cache(subset_str)
+def _json_tail(r, dim_x: int, dim_xi) -> str:
+    return (
+        f'\n      ],\n      "R": {_json_ints(r, "      ")},\n'
+        f'      "dim_X": {dim_x},\n'
+        f'      "dim_XI": {"null" if dim_xi is None else dim_xi}\n'
+        "    }"
+    )
+
+
+def _cells_csv(n: int, rows):
+    return chain(["K,w,R,dim_X,dim_XI\n"], rows(one_line_separator(n), _csv_head, _csv_tail))
+
+
+def _csv_head(k: SimpleSubset) -> str:
+    return ";".join(map(str, k.members)) + ","
+
+
+def _csv_tail(r, dim_x: int, dim_xi) -> str:
+    return f",{';'.join(map(str, r))},{dim_x},{'' if dim_xi is None else dim_xi}\n"
+
+
+def _cells_text(n: int, rows):
     count = 0
-    for k, rows in groups:
-        head = f"K={k} w="
-        for images, r, dim_x, dim_xi in rows:
-            count += 1
-            xi_part = "" if dim_xi is None else f" dim_XI={dim_xi}"
-            yield f"{head}{w_format % images} R={r_fields(r)} dim_X={dim_x}{xi_part}\n"
+    for count, row in enumerate(rows(one_line_separator(n), _text_head, _text_tail), 1):
+        yield row
     yield f"total: {count} fixed points\n"
+
+
+def _text_head(k: SimpleSubset) -> str:
+    return f"K={k} w="
+
+
+def _text_tail(r, dim_x: int, dim_xi) -> str:
+    xi_part = "" if dim_xi is None else f" dim_XI={dim_xi}"
+    return f" R={subset_str(r)} dim_X={dim_x}{xi_part}\n"
 
 
 # --- special ---------------------------------------------------------------------

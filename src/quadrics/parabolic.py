@@ -26,12 +26,19 @@ placing a value at position p+1 only above w(p) when p is in K. The
 search carries ell(w) as the sum of the Lehmer-code digits, the index of
 each chosen value among those still unplaced, and, given pairs (i, p),
 the hits: the i with images[i] < images[p], each decided as index i is
-placed. It keeps at most n(n+1)/2 partial permutations pending.
+placed. Each leaf places the last three values at once, in the orders
+of three that K allows, which are settled once per search with their
+inversions and the hits they decide among themselves. Given a separator,
+the search carries the images as text, joined by it, one concatenation
+per placed value, and yields that in place of the tuple: `cells` builds
+its listing rows from it, and with the pairs (i, i-1) the hits are the
+right descents the descent check reads. It keeps at most n(n+1)/2
+partial permutations pending.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, permutations
 from operator import sub
 from typing import Iterable, Iterator
 
@@ -243,67 +250,104 @@ def is_minimal_rep(k: SimpleSubset, w: Permutation) -> bool:
     return True
 
 
-# One item of the W^K search: (w.images, ell(w), hits).
-CosetRep = tuple[tuple[int, ...], int, tuple[int, ...]]
+# One item of the W^K search: (w.images, or their text given a separator,
+# ell(w), hits).
+CosetRep = tuple[tuple[int, ...] | str, int, tuple[int, ...]]
 
 
-def minimal_coset_rep_images(k: SimpleSubset, references: Iterable[tuple[int, int]] = ()) -> Iterator[CosetRep]:
+def minimal_coset_rep_images(
+    k: SimpleSubset, references: Iterable[tuple[int, int]] = (), separator: str | None = None
+) -> Iterator[CosetRep]:
     """(w.images, ell(w), hits) for each w in W^K, in lexicographic one-line
     order, generated one at a time. references holds (i, p) pairs with
     p < i, each i at most once, in the form `kernel.r_references` returns;
-    hits holds the i, ascending, with images[i] < images[p]. K is checked
-    before the first item.
+    hits holds the i, ascending, with images[i] < images[p]. Given a
+    separator, each item carries the images joined by it in place of the
+    tuple. K is checked before the first item.
 
     >>> list(minimal_coset_rep_images(SimpleSubset(3, (1,)), [(2, 0)]))
     [((1, 2, 3), 0, ()), ((1, 3, 2), 1, ()), ((2, 3, 1), 2, (2,))]
+    >>> [text for text, _, _ in minimal_coset_rep_images(SimpleSubset(3, (1,)), separator="-")]
+    ['1-2-3', '1-3-2', '2-3-1']
     """
     require_special(k)
-    return _coset_rep_search(k.n, k.members, references)
+    return _coset_rep_search(k.n, k.members, references, separator)
 
 
-def _coset_rep_search(n: int, members: tuple[int, ...], references: Iterable[tuple[int, int]]) -> Iterator[CosetRep]:
-    if n == 1:
-        yield (1,), 0, ()
-        return
+def _coset_rep_search(
+    n: int, members: tuple[int, ...], references: Iterable[tuple[int, int]], separator: str | None
+) -> Iterator[CosetRep]:
     # ascent[p]: position p is in K, so w(p+1) must exceed w(p)
     ascent = [False] * (n + 1)
     for i in members:
         ascent[i] = True
     against = list(map(dict(references).get, range(n)))  # i: the index images[i] is compared with, or None
-    # the leaves place indices n-2 and n-1 together; what does not depend on
-    # the prefix is settled once: whether index n-1 is compared with index
-    # n-2, with an earlier index (last_below), and whether it may descend
-    last = against[-1]
-    last_on_leaf = last == n - 2
-    last_below = last is not None and not last_on_leaf
-    leaf_descends = not ascent[n - 1]
-    # (prefix, unplaced values in increasing order, inversions so far, hits
-    # so far); children are pushed largest value first so the smallest pops first
-    stack = [((), tuple(range(1, n + 1)), 0, ())]
+    if n < 3:
+        # S_1 and S_2, too small for the leaves below, which place three indices
+        for images in [(1,)] if n == 1 else [(1, 2)] if ascent[1] else [(1, 2), (2, 1)]:
+            length = images[0] - 1
+            hits = (1,) if length and against[1] == 0 else ()
+            yield (images if separator is None else separator.join(map(str, images))), length, hits
+        return
+    # text: the images joined by separator, one concatenation per placed
+    # value; pieces[p][value] is what placing value at index p appends. With
+    # no separator every piece is "", which concatenates for free
+    if separator is None:
+        firsts = inner = [""] * (n + 1)
+    else:
+        firsts = list(map(str, range(n + 1)))
+        inner = [separator + value for value in firsts]
+    pieces = [firsts] + [inner] * (n - 1)
+    # the leaves place the last three indices q, q+1, q+2 together. What does
+    # not depend on the prefix is settled once for each order of the three
+    # unplaced values, given as their ranks: whether K allows it, its
+    # inversions, and whether q+1 and q+2 are hits against one of the three.
+    # below1 and below2: the earlier index q+1 and q+2 are compared with
+    q = n - 3
+    orders = []
+    for order in permutations(range(3)):
+        if any(ascent[q + t] and order[t] < order[t - 1] for t in (1, 2)):
+            continue
+        inversions = sum(order[s] > order[t] for s, t in ((0, 1), (0, 2), (1, 2)))
+        inside = [j is not None and j >= q and order[t] < order[j - q] for t, j in enumerate(against[q:])]
+        orders.append((*order, inversions, inside[1], inside[2]))
+    below1, below2 = (j if j is not None and j < q else None for j in against[q + 1 :])
+    # (prefix, text, unplaced values in increasing order, inversions so far,
+    # hits so far); children are pushed largest value first so the smallest
+    # pops first
+    stack = [((), "", tuple(range(1, n + 1)), 0, ())]
     pop, push = stack.pop, stack.append
     while stack:
-        prefix, unplaced, length, hits = pop()
+        prefix, text, unplaced, length, hits = pop()
         p = len(prefix)
         floor = prefix[-1] if ascent[p] else 0
         # a value placed at index p is a hit when below top
         top = 0 if (j := against[p]) is None else prefix[j]
-        if len(unplaced) == 2:
-            # the last two values are placed together, one stack entry per pair
-            # of leaves; index p+1 is compared with index p or below top_last
-            a, b = unplaced
-            top_last = prefix[last] if last_below else 0
-            if a > floor:
-                tail = hits + (p,) if a < top else hits
-                yield prefix + (a, b), length, (tail + (p + 1,) if b < top_last else tail)
-            if leaf_descends and b > floor:
-                tail = hits + (p,) if b < top else hits
-                yield prefix + (b, a), length + 1, (tail + (p + 1,) if last_on_leaf or a < top_last else tail)
+        level = pieces[p]
+        if p == q:
+            top1 = 0 if below1 is None else prefix[below1]
+            top2 = 0 if below2 is None else prefix[below2]
+            for rank0, rank1, rank2, inversions, hit1, hit2 in orders:
+                x = unplaced[rank0]
+                if x > floor:
+                    y, z = unplaced[rank1], unplaced[rank2]
+                    tail = hits + (q,) if x < top else hits
+                    if hit1 or y < top1:
+                        tail += (q + 1,)
+                    if hit2 or z < top2:
+                        tail += (q + 2,)
+                    yield (
+                        prefix + (x, y, z) if separator is None else text + level[x] + inner[y] + inner[z],
+                        length + inversions,
+                        tail,
+                    )
             continue
         for idx in range(len(unplaced) - 1, -1, -1):
             value = unplaced[idx]
             if value > floor:
                 hit = hits + (p,) if value < top else hits
-                push((prefix + (value,), unplaced[:idx] + unplaced[idx + 1 :], length + idx, hit))
+                rest = unplaced[:idx] + unplaced[idx + 1 :]
+                push((prefix + (value,), text + level[value], rest, length + idx, hit))
 
 
 def minimal_coset_reps(k: SimpleSubset) -> Iterator[Permutation]:

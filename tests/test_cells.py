@@ -352,22 +352,50 @@ def test_listings_match_r_set_records():
         assert fixed_points_full_variety(n) == expected, n
 
 
+def listing_and_records(n, i_set, separator, head, tail):
+    """The text rows and the CellRecords of the same listing, with its K."""
+    if i_set is None:
+        rows = fixed_point_rows_full_variety(n, separator, head, tail)
+        return list(rows), fixed_points_full_variety(n), enumerate_special(n)
+    rows = fixed_point_rows(i_set, separator, head, tail)
+    return list(rows), fixed_points(i_set), list(i_set.subsets())
+
+
 def test_rows_are_grouped_by_k_in_listing_order():
+    # each row is head(K) + the images joined + tail(R, dim_X, dim_XI) of the
+    # record in the same place, and head is asked once per K, in order
     for n in range(1, 7):
         for i_set in [None, *enumerate_special(n)]:
-            if i_set is None:
-                groups, records = fixed_point_rows_full_variety(n), fixed_points_full_variety(n)
-                ks = enumerate_special(n)
-            else:
-                groups, records = fixed_point_rows(i_set), fixed_points(i_set)
-                ks = list(i_set.subsets())
-            rows = []
-            for position, (k, group) in enumerate(groups):
-                assert k == ks[position]
-                rows += [(k, *row) for row in group]
+            heads = []
+
+            def head(k):
+                heads.append(k)
+                return f"{k} "
+
+            def tail(r, dim_x, dim_xi):
+                return f" {r} {dim_x} {dim_xi}"
+
+            rows, records, ks = listing_and_records(n, i_set, "-", head, tail)
+            assert heads == ks
             assert rows == [
-                (rec.k, rec.w.images, rec.r, rec.dim_x, rec.dim_xi) for rec in records
+                f"{rec.k} {'-'.join(map(str, rec.w.images))} {rec.r} {rec.dim_x} {rec.dim_xi}"
+                for rec in records
             ]
+
+
+def test_each_distinct_tail_is_formatted_once_per_listing():
+    # the tail depends on (K, w) only through ell(w) + |K| and R, so through
+    # (R, dim_X); each distinct one is asked for once, where it first occurs
+    for n in range(1, 7):
+        for i_set in [None, *enumerate_special(n)]:
+            asked = []
+
+            def tail(r, dim_x, dim_xi):
+                asked.append((r, dim_x, dim_xi))
+                return ""
+
+            _, records, _ = listing_and_records(n, i_set, "", lambda k: "", tail)
+            assert asked == list(dict.fromkeys((rec.r, rec.dim_x, rec.dim_xi) for rec in records)), (n, i_set)
 
 
 def test_fixed_points_listing():
@@ -408,11 +436,12 @@ def test_fixed_points_full_variety():
 def test_listing_generators_check_input_before_the_first_record():
     # raised by the call, not by the first next(), so the CLI rejects bad
     # input before it writes a byte
+    head, tail = str, lambda r, dim_x, dim_xi: ""
     with pytest.raises(NotSpecialError):
-        fixed_point_rows(SimpleSubset(4, (1, 2)))
+        fixed_point_rows(SimpleSubset(4, (1, 2)), "", head, tail)
     with pytest.raises(ValueError):
-        fixed_point_rows_full_variety(0)
-    # the record lists are built from the same generators
+        fixed_point_rows_full_variety(0, "", head, tail)
+    # the record lists check their input the same way
     with pytest.raises(NotSpecialError):
         fixed_points(SimpleSubset(4, (2, 3)))
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """What a command imports, the layer names cli binds when it does, and the
 module each public name is imported from."""
 
+import ast
 import builtins
 import dis
 import importlib
@@ -117,6 +118,60 @@ def test_cli_binds_every_layer_name_it_calls():
         "full_variety_orbit_sum",
         "per_orbit_sum",
     }
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def tracer_patch_targets():
+    """(object, attribute) for every patch(target, "attribute", ...) call in
+    the tracer's install(), with the loops over literal tuples unrolled and
+    each target read off the quadrics modules install() imports."""
+    tree = ast.parse(TRACER.read_text())
+    install = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "install")
+    modules = {
+        alias.asname or alias.name: importlib.import_module(alias.name)
+        for node in install.body
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+
+    def value(node, bound):
+        if isinstance(node, ast.Constant):
+            return node.value
+        if isinstance(node, ast.Name):
+            return value(bound[node.id], bound) if node.id in bound else modules[node.id]
+        if isinstance(node, ast.Attribute):
+            return getattr(value(node.value, bound), node.attr)
+        raise AssertionError(f"line {node.lineno}: not a literal target: {ast.unparse(node)}")
+
+    def bindings(target, item):
+        if isinstance(target, ast.Name):
+            return {target.id: item}
+        pairs = zip(target.elts, item.elts)
+        return {name: node for part, element in pairs for name, node in bindings(part, element).items()}
+
+    def walk(statements, bound):
+        for statement in statements:
+            if isinstance(statement, ast.For):
+                for item in statement.iter.elts:
+                    yield from walk(statement.body, {**bound, **bindings(statement.target, item)})
+                continue
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "patch":
+                    yield value(node.args[0], bound), value(node.args[1], bound)
+
+    return list(walk(install.body, {}))
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    # a name the tracer wraps that the package no longer has crashes every
+    # traced benchmark run, which the tests do not otherwise run
+    targets = tracer_patch_targets()
+    assert targets
+    for owner, attribute in targets:
+        assert isinstance(attribute, str)
+        assert hasattr(owner, attribute), (owner, attribute)
 
 
 # every public name, by the module that defines it; the package itself

@@ -77,10 +77,16 @@ def test_interval_census_matches_elementwise_oracle_summed_over_k():
 
 def test_local_rule_matches_weight_vector_definition():
     # the R field of the listing rows comes from the local rule
+    def ints(field):
+        return tuple(map(int, field.split(","))) if field else ()
+
     for n in range(1, 8):
-        for k, rows in fixed_point_rows_full_variety(n):
-            for images, r, _, _ in rows:
-                assert r == r_set(k, Permutation(images)), (n, k, images)
+        rows = fixed_point_rows_full_variety(
+            n, ",", lambda k: ",".join(map(str, k.members)) + "|", lambda r, *_: "|" + ",".join(map(str, r))
+        )
+        for row in rows:
+            members, images, r = map(ints, row.split("|"))
+            assert r == r_set(SimpleSubset(n, members), Permutation(images)), (n, row)
 
 
 def test_km_identity_up_to_n10():

@@ -255,16 +255,46 @@ def test_search_hits_match_the_comparisons_of_each_row():
 
 
 def test_search_hits_take_any_earlier_reference():
-    # pairs beyond the form r_references returns: any p < i, the last two
+    # pairs beyond the form r_references returns: any p < i, the last three
     # indices included, which the search places together, and in any order
     n = 5
-    cases = [[(i, 0) for i in range(1, n)], [(i, i - 1) for i in reversed(range(1, n))]]
-    cases += [[(n - 1, p), (n - 2, p - 1)] for p in range(1, n - 1)]
     for k in enumerate_special(n):
-        for references in cases:
+        for references in earlier_reference_cases(n):
             for images, _, hits in minimal_coset_rep_images(k, references):
                 expected = sorted(comparison_hits(images, references))
                 assert list(hits) == expected, (k, references, images)
+
+
+def earlier_reference_cases(n):
+    """The reference lists of test_search_hits_take_any_earlier_reference."""
+    cases = [[(i, 0) for i in range(1, n)], [(i, i - 1) for i in reversed(range(1, n))]]
+    return cases + [[(n - 1, p), (n - 2, p - 1)] for p in range(1, n - 1)]
+
+
+def test_search_text_is_the_joined_images():
+    # the separator changes only the first slot: each text item is the tuple
+    # item's images joined, with the same length and hits
+    for n in range(1, 9):
+        names = list(map(str, range(n + 1)))  # str(v), looked up rather than converted
+        for k in enumerate_special(n):
+            cases = [(), r_references(n, k.members)]
+            if n == 5:
+                cases += earlier_reference_cases(n)
+            for references in cases:
+                images, *rest = zip(*minimal_coset_rep_images(k, references))
+                for separator in "", "-", ",\n        ":
+                    texts, *text_rest = zip(*minimal_coset_rep_images(k, references, separator))
+                    assert text_rest == rest, (k, references, separator)
+                    joined = [separator.join(map(names.__getitem__, w)) for w in images]
+                    assert list(texts) == joined, (k, references)
+
+
+def test_search_hits_against_the_index_before_are_the_right_descents():
+    for n in range(1, 9):
+        adjacent = [(i, i - 1) for i in range(1, n)]
+        for k in enumerate_special(n):
+            for images, _, hits in minimal_coset_rep_images(k, adjacent):
+                assert hits == Permutation(images).right_descents, (k, images)
 
 
 def test_minimal_coset_reps_are_valid_permutations():
