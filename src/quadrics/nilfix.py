@@ -15,19 +15,19 @@ The classifier reads the blocks of the flag of type K^c fixed by e off
 the runs of K: a run of r members is one block of size r + 1, and every
 other position is a block of size 1. That this flag is unique is checked
 by the tests, which count the e-stable flags over F_p. The fixed-quadric
-system is kept in one format, sparse integer rows {column: coefficient}:
-the anti-diagonal solve splits them by anti-diagonal, and the rank
-reduces them fraction-free; the tests widen them into dense rows for a
-solve and a rank over the rationals. Matrices are tuples of rows of
-ints, and every basis entry lies in {-1, 0, 1}; only the dense test
-oracle nullspace_basis leaves the integers.
+system is kept in one format, sparse integer rows {column: coefficient},
+and one fraction-free forward elimination reduces them: its pivot rows
+count the rank, in either column order, and, back-eliminated, give the
+basis. The tests widen the rows into dense rows for a solve and a rank
+over the rationals. Matrices are tuples of rows of ints, every basis
+entry lies in {-1, 0, 1}, and nothing here leaves the integers.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from quadrics.parabolic import SimpleSubset
 
@@ -68,21 +68,23 @@ def infinitesimal_fixed_condition(e: Sequence[Sequence[int]], a: Sequence[Sequen
 
 # --- exact elimination helpers -------------------------------------------
 
-def row_echelon_rank(rows: Sequence[dict[int, int]], column_order: Optional[Sequence[int]] = None) -> int:
-    """Rank of an integer matrix given as sparse rows {column: coefficient},
-    by fraction-free forward elimination with leading columns taken in the
-    given order, ascending when none is given (the fixed-quadrics check
-    also runs the reversed order, as an independent route).
+def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int) -> dict[int, int]:
+    """p * row - a * pivot, with p and a their entries in col, divided by
+    the gcd of its entries; col drops out and zeros are left out."""
+    p, a = pivot[col], row[col]
+    row = {c: p * row.get(c, 0) - a * pivot.get(c, 0) for c in row.keys() | pivot.keys()}
+    g = math.gcd(*row.values())
+    return {c: x // g for c, x in row.items() if x}
 
-    Each row is reduced against the pivot rows found so far, leading column
-    first: with p the pivot row's entry and a the row's, the row becomes
-    p * row - a * pivot row, divided by the gcd of its entries. A row that
-    vanishes adds nothing; one that leads in a column with no pivot row
-    becomes that column's pivot row. The rank is the number of pivot rows.
-    """
-    if not all(set(map(type, row.values())) <= {int} for row in rows):
-        raise TypeError("row_echelon_rank takes rows of ints")
-    key = None if column_order is None else {c: k for k, c in enumerate(column_order)}.__getitem__
+
+def _pivot_rows(
+    rows: Sequence[dict[int, int]], key: Optional[Callable[[int], int]] = None
+) -> dict[int, dict[int, int]]:
+    """The pivot rows of a fraction-free forward elimination, by leading
+    column. Each row is reduced against the pivot rows found so far,
+    leading column first (the least under key). A row that vanishes adds
+    nothing; one that leads in a column with no pivot row becomes that
+    column's pivot row."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         row = {c: x for c, x in row.items() if x}
@@ -92,47 +94,59 @@ def row_echelon_rank(rows: Sequence[dict[int, int]], column_order: Optional[Sequ
             if pivot is None:
                 pivots[lead] = row
                 break
-            p, a = pivot[lead], row[lead]
-            row = {c: p * row.get(c, 0) - a * pivot.get(c, 0) for c in row.keys() | pivot.keys()}
-            g = math.gcd(*row.values())
-            row = {c: x // g for c, x in row.items() if x}
-    return len(pivots)
+            row = _eliminate(row, pivot, lead)
+    return pivots
 
 
-def nullspace_basis(rows: Sequence[Sequence[object]], ncols: int) -> list[tuple]:
-    """Canonical basis of the solution space of the homogeneous system, one
-    vector per free column of the reduced row echelon form, each scaled so
-    its first non-zero coordinate is positive. Dense Gauss-Jordan over
-    Fractions; the test oracle of anti_diagonal_basis. It imports fractions
-    itself, so no command loads that module."""
-    from fractions import Fraction
+def row_echelon_rank(rows: Sequence[dict[int, int]], column_order: Optional[Sequence[int]] = None) -> int:
+    """Rank of an integer matrix given as sparse rows {column: coefficient}:
+    the number of pivot rows of the fraction-free forward elimination, with
+    leading columns taken in the given order, ascending when none is given
+    (the fixed-quadrics check also runs the reversed order, as an
+    independent route)."""
+    if not all(set(map(type, row.values())) <= {int} for row in rows):
+        raise TypeError("row_echelon_rank takes rows of ints")
+    key = None if column_order is None else {c: k for k, c in enumerate(column_order)}.__getitem__
+    return len(_pivot_rows(rows, key))
 
-    work = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
+
+def nullspace_basis(rows: Sequence[dict[int, int]], ncols: int) -> list[tuple[int, ...]]:
+    """Canonical basis of the solutions of the homogeneous integer system
+    given as sparse rows {column: coefficient} on ncols columns: one vector
+    per free column of the reduced row echelon form, in column order, with
+    that column 1 and the other free columns 0, then negated if need be so
+    its first non-zero coordinate is positive.
+
+    The pivot rows of the forward elimination (ascending leading columns)
+    are back-eliminated from the last lead down, so each keeps only its
+    lead and free columns: p x_lead + sum r_f x_f = 0. Setting free column
+    f to 1 gives x_lead = -r_f / p, an exact division; a remainder raises
+    RuntimeError rather than being floored.
+    """
+    pivots = _pivot_rows(rows)
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        for col in [c for c in row if c != lead and c in pivots]:
+            row = _eliminate(row, pivots[col], col)
+        pivots[lead] = row
+    entries: dict[int, list[tuple[int, int]]] = {}
+    for lead, row in pivots.items():
+        for col, x in row.items():
+            if col != lead:
+                entries.setdefault(col, []).append((lead, x))
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -work[r][f]
-        lead = next((x for x in vec if x != 0), Fraction(1))
-        if lead < 0:
-            vec = [-x for x in vec]
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        values = {free: 1}
+        for lead, x in entries.get(free, ()):
+            values[lead], remainder = divmod(-x, pivots[lead][lead])
+            if remainder:
+                raise RuntimeError("the null vector of a free column is not integral")
+        sign = 1 if values[min(values)] > 0 else -1
+        vec = [0] * ncols
+        for col, x in values.items():
+            vec[col] = sign * x
         basis.append(tuple(vec))
     return basis
 
@@ -184,82 +198,6 @@ def fixed_system_rows(m: int) -> list[dict[int, int]]:
     return rows
 
 
-def anti_diagonal_basis(m: int) -> list[tuple[int, ...]]:
-    """The basis nullspace_basis returns on fixed_system_rows(m) widened to
-    dense rows of m(m+1)/2 columns, the same vectors in the same order with
-    the same signs, solved one anti-diagonal at a time in O(m^2) instead of
-    by dense elimination.
-
-    Each equation involves one anti-diagonal s = i + j only, so the system
-    splits into one small system per s, on at most ceil(m/2) unknowns. Its
-    equations are links c x + c' x' = 0 between neighbouring unknowns (in
-    column order) and pins c x = 0 on one unknown. A chain of k unknowns
-    has k - 1 links, which make every unknown a fixed non-zero multiple of
-    the last. So the reduced row echelon form pivots on the first k - 1
-    columns, and the last column is free: the dense solve's vector sets it
-    to 1, then flips the sign so the first coordinate is positive. A pin
-    forces the whole chain to zero. (The row-0 equation A[0][s] = 0 pins
-    each s < m - 1, and the diagonal equation 2 A[(s-1)/2][(s+1)/2] = 0
-    each odd s; each even s >= m - 1 gives one vector of alternating signs.)
-    The last column of s, A[s//2][s - s//2], comes later in column order as
-    s grows, so the vectors come out ordered by free column, as the dense
-    solve lists them.
-    """
-    pairs = _sym_pairs(m)
-    chains: list[list[int]] = [[] for _ in range(2 * m - 1)]
-    for t, (i, j) in enumerate(pairs):
-        chains[i + j].append(t)
-    equations: list[list[dict[int, int]]] = [[] for _ in chains]
-    for terms in fixed_system_rows(m):
-        i, j = pairs[next(iter(terms))]
-        equations[i + j].append(terms)
-    basis = []
-    for chain, eqs in zip(chains, equations):
-        values = _chain_null_vector(chain, eqs)
-        if values is not None:
-            vec = [0] * len(pairs)
-            for t, x in zip(chain, values):
-                vec[t] = x
-            basis.append(tuple(vec))
-    return basis
-
-
-def _chain_null_vector(chain: list[int], equations: list[dict[int, int]]) -> Optional[list[int]]:
-    """The values on the columns of chain (ascending) of the one solution of
-    its equations with last value 1, sign-flipped to a positive first
-    value; None when a pin forces the chain to zero. Each step back along
-    the chain divides exactly (every link of the fixed-quadric system is
-    x + x' = 0); a remainder raises RuntimeError rather than being
-    floored."""
-    position = {t: r for r, t in enumerate(chain)}
-    links: dict[int, tuple[int, int]] = {}
-    pinned = False
-    for terms in equations:
-        if len(terms) == 1:
-            pinned = True
-            continue
-        (t0, c0), (t1, c1) = sorted(terms.items())
-        r = position.get(t1)
-        if r is None or position.get(t0) != r - 1 or r in links:
-            raise RuntimeError("the equations of an anti-diagonal are not a chain")
-        links[r] = (c0, c1)
-    if len(links) != len(chain) - 1:
-        raise RuntimeError("the equations of an anti-diagonal are not a chain")
-    if pinned:
-        return None
-    values = [1]
-    for r in range(len(chain) - 1, 0, -1):
-        c0, c1 = links[r]
-        value, remainder = divmod(-c1 * values[-1], c0)
-        if remainder:
-            raise RuntimeError("an anti-diagonal chain has no integral solution")
-        values.append(value)
-    values.reverse()
-    if values[0] < 0:
-        values = [-x for x in values]
-    return values
-
-
 def _vector_to_symmetric(m: int, vec: Sequence[int]) -> Matrix:
     entries = [[0] * m for _ in range(m)]
     for (i, j), value in zip(_sym_pairs(m), vec):
@@ -305,7 +243,7 @@ def fixed_quadric_space(m: int) -> FixedQuadricSpace:
     """
     if m < 1:
         raise ValueError("size must be at least 1")
-    vectors = anti_diagonal_basis(m)
+    vectors = nullspace_basis(fixed_system_rows(m), m * (m + 1) // 2)
     basis = tuple(_vector_to_symmetric(m, vec) for vec in vectors)
     if any(mat[i][j] for mat in basis for i in range(m) for j in range(m - 1 - i)):
         raise RuntimeError(f"a fixed quadric of size {m} is non-zero above the anti-diagonal")

@@ -28,8 +28,11 @@ Nothing under src/ imports this file.
   (1 + q)^|I|, cleared by dense products; it checks
   `cells.per_orbit_closed_form_check`, whose `qpoly.orbit_product_formula`
   divides them out by the same ratio walk.
-* rational_rank (Gaussian elimination over Fractions) checks the
-  fraction-free `nilfix.row_echelon_rank`.
+* rational_rank and rational_nullspace (dense Gauss-Jordan elimination
+  over Fractions) check the fraction-free sparse elimination of `nilfix`:
+  its rank `row_echelon_rank` in either column order, and its canonical
+  basis `nullspace_basis`, the same vectors in the same order with the
+  same signs.
 * fixed_flag and fixed_flag_uniqueness_oracle (a count of flags over F_p)
   check that the regular nilpotent fixes one flag of each type K^c.
   block_sizes lists that flag's blocks for any K; the subset walk of the
@@ -236,7 +239,7 @@ def closed_form_doubly_cleared(k: SimpleSubset, i_set: SimpleSubset) -> bool:
     return left == right
 
 
-# --- rational rank ---------------------------------------------------------
+# --- rational rank and null space ------------------------------------------
 
 def rational_rank(rows: Sequence[Sequence[object]], column_order: Optional[Sequence[int]] = None) -> int:
     """Rank over the rationals by dense Gaussian elimination on Fractions,
@@ -260,6 +263,39 @@ def rational_rank(rows: Sequence[Sequence[object]], column_order: Optional[Seque
                     work[r][c] -= factor * work[rank][c]
         rank += 1
     return rank
+
+
+def rational_nullspace(rows: Sequence[Sequence[object]], ncols: int) -> list[tuple]:
+    """Canonical basis of the solution space of the homogeneous system, one
+    vector per free column of the reduced row echelon form, each scaled so
+    its first non-zero coordinate is positive. Dense Gauss-Jordan over
+    Fractions."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = 1 / work[rank][col]
+        work[rank] = [x * inv for x in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
+        pivots.append(col)
+        rank += 1
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -work[r][f]
+        if next(x for x in vec if x != 0) < 0:
+            vec = [-x for x in vec]
+        basis.append(tuple(vec))
+    return basis
 
 
 # --- fixed flags -----------------------------------------------------------

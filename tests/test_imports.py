@@ -80,6 +80,23 @@ def test_a_command_imports_only_the_layers_it_runs(argv, needed, absent):
     assert not absent & set(loaded)
 
 
+def test_no_module_of_the_package_imports_fractions():
+    # the footprint tests above run five commands; read every import
+    # statement of every module instead, including those inside functions
+    package = Path(quadrics.__file__).parent
+    sources = sorted(package.rglob("*.py"))
+    assert sources
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Import):
+                imported = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported = {node.module or ""}
+            else:
+                continue
+            assert "fractions" not in {name.split(".")[0] for name in imported}, (source.name, node.lineno)
+
+
 def code_objects(code):
     """code and every code object nested in it (functions, classes,
     comprehensions)."""

@@ -26,6 +26,7 @@ from oracles import (
     block_sizes,
     fixed_flag,
     fixed_flag_uniqueness_oracle,
+    rational_nullspace,
     rational_rank,
 )
 
@@ -255,7 +256,7 @@ def test_certificate_rejects_entry_above_anti_diagonal(monkeypatch, fresh_fixed_
     for m in (3, 4, 6):
         for t, (i, j) in enumerate(nilfix._sym_pairs(m)):
             unit = tuple(int(s == t) for s in range(m * (m + 1) // 2))
-            monkeypatch.setattr(nilfix, "anti_diagonal_basis", lambda m: [unit])
+            monkeypatch.setattr(nilfix, "nullspace_basis", lambda rows, ncols: [unit])
             fixed_quadric_space.cache_clear()
             if i + j < m - 1:
                 with pytest.raises(RuntimeError):
@@ -270,11 +271,13 @@ def test_cleared_caches_leave_no_stale_witness(monkeypatch, fresh_fixed_quadric_
     # the classifier remembers its block test and witnesses; once the
     # caches are cleared, a witness must carry the family solved now, not
     # one built from the solve in place before
-    solve = nilfix.anti_diagonal_basis
+    solve = nilfix.nullspace_basis
     before = regularity_classifier(SimpleSubset(4, (1, 2))).witness.family
     assert before is fixed_quadric_space(3)
     monkeypatch.setattr(
-        nilfix, "anti_diagonal_basis", lambda m: [tuple(2 * x for x in vec) for vec in solve(m)]
+        nilfix,
+        "nullspace_basis",
+        lambda rows, ncols: [tuple(2 * x for x in vec) for vec in solve(rows, ncols)],
     )
     fresh_fixed_quadric_cache()
     witness = regularity_classifier(SimpleSubset(4, (1, 2))).witness
@@ -282,15 +285,16 @@ def test_cleared_caches_leave_no_stale_witness(monkeypatch, fresh_fixed_quadric_
     assert witness.family != before
 
 
-def test_anti_diagonal_basis_equals_the_dense_solve():
+def test_nullspace_basis_equals_the_dense_solve():
     # same vectors, same order, same signs as the dense Gauss-Jordan oracle
     for m in range(1, 21):
         ncols = m * (m + 1) // 2
-        dense = [[row.get(c, 0) for c in range(ncols)] for row in fixed_system_rows(m)]
-        assert nilfix.anti_diagonal_basis(m) == nullspace_basis(dense, ncols), m
+        rows = fixed_system_rows(m)
+        dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+        assert nullspace_basis(rows, ncols) == rational_nullspace(dense, ncols), m
 
 
-def test_anti_diagonal_basis_is_one_alternating_vector_per_even_anti_diagonal():
+def test_fixed_quadric_basis_is_one_alternating_vector_per_even_anti_diagonal():
     for m in range(1, 12):
         expected = []
         for s in range(m - 1, 2 * m - 1):
@@ -303,27 +307,45 @@ def test_anti_diagonal_basis_is_one_alternating_vector_per_even_anti_diagonal():
         assert fixed_quadric_space(m).basis == tuple(expected), m
 
 
-def test_chain_solve_rejects_equations_that_are_not_a_chain():
-    with pytest.raises(RuntimeError):
-        nilfix._chain_null_vector([0, 1, 2], [{0: 1, 2: 1}, {1: 1, 2: 1}])
-    with pytest.raises(RuntimeError):
-        nilfix._chain_null_vector([0, 1, 2], [{1: 1, 2: 1}])
+def test_nullspace_basis_small_system():
+    # x + y = 0, y + z = 0 inside Q^3, and no equation inside Q^2: the
+    # oracle on dense rows, then the solve on the same rows made sparse
+    for dense, ncols, expected in (
+        ([[1, 1, 0], [0, 1, 1]], 3, [(1, -1, 1)]),
+        ([], 2, [(1, 0), (0, 1)]),
+    ):
+        basis = rational_nullspace(dense, ncols)
+        assert basis == [tuple(map(Fraction, vec)) for vec in expected]
+        sparse = [{c: x for c, x in enumerate(row) if x} for row in dense]
+        assert nullspace_basis(sparse, ncols) == expected
+
+
+def test_nullspace_basis_pins_and_free_columns():
+    # a chain x + y = 0, y + z = 0 pinned by 2 z = 0 has no solution but 0
+    assert nullspace_basis([{0: 1, 1: 1}, {1: 1, 2: 1}, {2: 2}], 3) == []
+    # a column that no equation touches is free, its vector a unit vector
+    assert nullspace_basis([{0: 1, 2: 1}], 3) == [(0, 1, 0), (1, 0, -1)]
     # 2 x + 3 y = 0 with y = 1 has no integral solution: refused, not floored
     with pytest.raises(RuntimeError):
-        nilfix._chain_null_vector([4, 7], [{4: 2, 7: 3}])
-    assert nilfix._chain_null_vector([4, 7], [{4: 3, 7: 3}]) == [1, -1]
-    assert nilfix._chain_null_vector([4, 7], [{4: -1, 7: 2}]) == [2, 1]
-    assert nilfix._chain_null_vector([4, 7], [{4: 2, 7: 3}, {7: 2}]) is None
+        nullspace_basis([{0: 2, 1: 3}], 2)
+    # leads of 3 and -1 divide their rows exactly
+    assert nullspace_basis([{0: 3, 1: 3}], 2) == [(1, -1)]
+    assert nullspace_basis([{0: -1, 1: 2}], 2) == [(2, 1)]
 
 
-def test_nullspace_basis_small_system():
-    # x + y = 0, y + z = 0 inside Q^3
-    basis = nullspace_basis([[1, 1, 0], [0, 1, 1]], 3)
-    assert basis == [(Fraction(1), Fraction(-1), Fraction(1))]
-    assert nullspace_basis([], 2) == [
-        (Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(1)),
-    ]
+@given(integer_matrices())
+def test_sparse_solve_is_the_rational_solve_when_integral(matrix):
+    # the reduced row echelon form is unique, so the solve returns the
+    # oracle's basis exactly when that basis is integral, and refuses it
+    # otherwise
+    ncols, rows = matrix
+    expected = rational_nullspace(rows, ncols)
+    sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    if all(x.denominator == 1 for vec in expected for x in vec):
+        assert nullspace_basis(sparse, ncols) == expected
+    else:
+        with pytest.raises(RuntimeError):
+            nullspace_basis(sparse, ncols)
 
 
 def test_fixed_flag():
