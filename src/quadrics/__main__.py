@@ -1,4 +1,4 @@
-from quadrics.cli import main
+from quadrics.cli import run
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

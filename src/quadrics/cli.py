@@ -18,6 +18,14 @@ ended, e.g. `| head`; nothing is printed then.
 Every command runs in one process. --jobs is accepted for compatibility
 and ignored, so the same invocation produces the same bytes for any value.
 
+The process entry is run: `python -m quadrics`, `python -m quadrics.cli`
+and the `quadrics` console script all call it. It calls main, then
+gc.freeze(), so the interpreter's exit-time collections skip the heap
+that is left once the report is out; the process still flushes its
+streams and runs its atexit handlers as before. main itself never
+freezes: tests and library callers run it inside their own process, whose
+heap must stay collectable.
+
 A command imports only the layers it runs. `parabolic` (with
 `symmetric_group` under it) is imported here, since every command uses it,
 directly or through `nilfix`; `cells`, `qpoly` and `nilfix` are imported by _load in
@@ -33,6 +41,7 @@ the module __getattr__.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -301,8 +310,8 @@ def _i_items(special: bool):
             return [(f"I={subset}", subset)]
         trusted = SimpleSubset._trusted
         if special:
-            return (("I={" + label + "}", trusted(n, m, True)) for m, label in _special_members(n))
-        return (("I={" + label + "}", trusted(n, m)) for m, label in _lex_subsets(tuple(range(1, n))))
+            return (("I={" + label + "}", trusted(n, m, True)) for m, label, _ in _special_members(n))
+        return (("I={" + label + "}", trusted(n, m, s)) for m, label, s in _lex_subsets(tuple(range(1, n))))
     return items
 
 
@@ -527,20 +536,33 @@ def _text_tail(r, dim_x: int, dim_xi) -> str:
 
 # --- special ---------------------------------------------------------------------
 
+def _all_digits(value: int) -> str:
+    """str(value) with every digit. Past n = 20,500 the special count
+    exceeds the interpreter's default 4,300-digit limit on int-to-str
+    conversion, so the limit is lifted for this one conversion and then
+    put back: the process, and any caller of main, keeps its own."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_special(args: argparse.Namespace) -> int:
     n = args.n
     count = special_count(n)  # refuses n < 1 before the first byte
     if args.count:
-        # past n = 20,500 the count exceeds Python's default 4,300-digit
-        # limit on int-to-str conversion; print every digit
-        if hasattr(sys, "set_int_max_str_digits"):
-            sys.set_int_max_str_digits(0)
+        digits = _all_digits(count)
         if args.format == "json":
-            _emit_json(args, {"n": n, "count": count})
+            # as json.dumps(doc, indent=2) lays out {"n": n, "count": count}
+            _emit(args, [f'{{\n  "n": {n},\n  "count": {digits}\n}}\n'])
         elif args.format == "csv":
-            _emit(args, [f"count\n{count}\n"])
+            _emit(args, [f"count\n{digits}\n"])
         else:
-            _emit(args, [f"{count}\n"])
+            _emit(args, [f"{digits}\n"])
         return EXIT_OK
     # each format walks the subsets with its own separator, so every label
     # is one concatenation from its parent's (see _json_ints for the JSON)
@@ -549,15 +571,15 @@ def cmd_special(args: argparse.Namespace) -> int:
             [f'{{\n  "n": {n},\n  "count": {count},\n  "subsets": [\n'],
             _json_items(
                 "    [\n      " + label + "\n    ]" if label else "    []"
-                for _, label in _special_members(n, ",\n      ")
+                for _, label, _ in _special_members(n, ",\n      ")
             ),
             ["  ]\n}\n"],
         ))
     elif args.format == "csv":
         # the empty subset is one empty field, written "" as csv.writer does
-        _emit(args, chain(["I\n"], ((label or '""') + "\n" for _, label in _special_members(n, ";"))))
+        _emit(args, chain(["I\n"], ((label or '""') + "\n" for _, label, _ in _special_members(n, ";"))))
     else:
-        _emit(args, ("{" + label + "}\n" for _, label in _special_members(n)))
+        _emit(args, ("{" + label + "}\n" for _, label, _ in _special_members(n)))
     return EXIT_OK
 
 
@@ -705,5 +727,14 @@ def main(argv=None) -> int:
         return EXIT_INVALID
 
 
+def run(argv=None) -> int:
+    """main(argv) as a whole process: its exit code, with the heap frozen
+    however main ends, as the process will only exit after it."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -198,13 +198,6 @@ def fixed_system_rows(m: int) -> list[dict[int, int]]:
     return rows
 
 
-def _vector_to_symmetric(m: int, vec: Sequence[int]) -> Matrix:
-    entries = [[0] * m for _ in range(m)]
-    for (i, j), value in zip(_sym_pairs(m), vec):
-        entries[i][j] = entries[j][i] = value
-    return tuple(map(tuple, entries))
-
-
 # Kept here because the grid-sweep test oracle evaluates determinants with
 # it and the benchmark tracer patches this name to count them.
 def _int_det(a: list[list[int]]) -> int:
@@ -237,18 +230,26 @@ def fixed_quadric_space(m: int) -> FixedQuadricSpace:
     vanishes above the anti-diagonal (i + j < m - 1): the row-0 equations
     A[0][j-1] = 0 zero A[0][0..m-2], and each equation
     A[i-1][j] + A[i][j-1] = 0 carries that zero down its anti-diagonal.
-    This is checked on the basis. Then det(sum t_b B_b) is, up to sign,
-    the product of the m anti-diagonal linear forms, which is non-zero
-    exactly when no anti-diagonal entry vanishes on every basis matrix.
+    This is checked on the non-zero entries of each basis vector. Then
+    det(sum t_b B_b) is, up to sign, the product of the m anti-diagonal
+    linear forms, which is non-zero exactly when no anti-diagonal entry
+    vanishes on every basis matrix.
     """
     if m < 1:
         raise ValueError("size must be at least 1")
-    vectors = nullspace_basis(fixed_system_rows(m), m * (m + 1) // 2)
-    basis = tuple(_vector_to_symmetric(m, vec) for vec in vectors)
-    if any(mat[i][j] for mat in basis for i in range(m) for j in range(m - 1 - i)):
-        raise RuntimeError(f"a fixed quadric of size {m} is non-zero above the anti-diagonal")
+    pairs = _sym_pairs(m)
+    basis = []
+    for vec in nullspace_basis(fixed_system_rows(m), len(pairs)):
+        entries = [[0] * m for _ in range(m)]
+        for t, value in enumerate(vec):
+            if value:
+                i, j = pairs[t]
+                if i + j < m - 1:
+                    raise RuntimeError(f"a fixed quadric of size {m} is non-zero above the anti-diagonal")
+                entries[i][j] = entries[j][i] = value
+        basis.append(tuple(map(tuple, entries)))
     has_nondeg = all(any(mat[k][m - 1 - k] for mat in basis) for k in range(m))
-    return FixedQuadricSpace(m, basis, has_nondeg)
+    return FixedQuadricSpace(m, tuple(basis), has_nondeg)
 
 
 # --- regularity classifier ---------------------------------------------------

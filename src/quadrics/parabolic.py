@@ -13,12 +13,13 @@ W^K by the unique factorization w = u x with u in W^K and x in W_K.
 
 Subsets are listed by one lexicographic walk, `_lex_chains`, which yields
 each member tuple with its label, the members joined by a separator
-(comma by default). Each tuple and label extend their parent's by one
-concatenation, so no listing re-joins a whole subset: `verify` and
-`special` write the labels as they come, and the walk's members become
-SimpleSubsets through `SimpleSubset._trusted`, which skips the checks the
-walk already guarantees (increasing, in range) and takes specialness from
-the walk when it is known, as for every subset of a special subset.
+(comma by default), and whether it is special. Each tuple and label extend
+their parent's by one concatenation, and each specialness is read off the
+parent's and the one member added, so no listing re-joins or re-scans a
+whole subset: `verify` and `special` write the labels as they come, and
+the walk's members become SimpleSubsets through `SimpleSubset._trusted`,
+which skips the checks the walk already guarantees (increasing, in range)
+and takes the walk's specialness as given.
 
 W^K is generated directly, never by filtering S_n: a depth-first search
 fills the one-line images left to right in increasing order of value,
@@ -105,21 +106,19 @@ class SimpleSubset:
         return m
 
     @classmethod
-    def _trusted(cls, n: int, members: tuple[int, ...], special: bool | None = None) -> SimpleSubset:
-        """A subset of members known to increase and lie in [1, n-1],
-        unchecked; special, when the caller knows it, is taken as given."""
+    def _trusted(cls, n: int, members: tuple[int, ...], special: bool) -> SimpleSubset:
+        """A subset of members known to increase and lie in [1, n-1], with
+        their specialness, all taken as given."""
         subset = object.__new__(cls)
         subset.n = n
         subset.members = members
-        subset._special = 1 not in map(sub, members[1:], members) if special is None else special
+        subset._special = special
         return subset
 
     def subsets(self) -> Iterator[SimpleSubset]:
         """All subsets of this subset, in lexicographic member order."""
         n, trusted = self.n, SimpleSubset._trusted
-        # a subset of a special subset is special
-        special = True if self._special else None
-        for members, _ in _lex_subsets(self.members):
+        for members, _, special in _lex_subsets(self.members):
             yield trusted(n, members, special)
 
     def __iter__(self) -> Iterator[int]:
@@ -154,43 +153,53 @@ def subset_str(members: Iterable[int]) -> str:
     return "{" + ",".join(map(str, members)) + "}"
 
 
-def _lex_chains(items: tuple[int, ...], gap: int, separator: str = ",") -> Iterator[tuple[tuple[int, ...], str]]:
-    """(chain, label) for every subsequence of items whose chosen positions
-    lie at least gap apart, the empty one first, in lexicographic order;
-    the label is the chain's members joined by separator. Each chain and
-    label extend their parent's by one concatenation. The parents are kept
-    on an explicit stack, so no length overflows the interpreter's
-    recursion limit."""
+def _lex_chains(items: tuple[int, ...], gap: int, separator: str = ",") -> Iterator[tuple[tuple[int, ...], str, bool]]:
+    """(chain, label, special) for every subsequence of items whose chosen
+    positions lie at least gap apart, the empty one first, in
+    lexicographic order; the label is the chain's members joined by
+    separator, and special says no two members are consecutive integers.
+    Each chain and label extend their parent's by one concatenation, and a
+    chain is special when its parent is and the member added is not one
+    more than the parent's last. The parents are kept on an explicit
+    stack, so no length overflows the interpreter's recursion limit."""
     heads = list(map(str, items))
     tails = [separator + head for head in heads]
     chain: tuple[int, ...] = ()
     label = ""
-    yield chain, label
-    stack: list[tuple[int, tuple[int, ...], str]] = []  # (position chosen, the parent's chain, its label)
+    special = True
+    yield chain, label, special
+    # (position chosen, the parent's chain, its label, its specialness)
+    stack: list[tuple[int, tuple[int, ...], str, bool]] = []
     following = 0  # the smallest position that may be chosen next
     size = len(items)
     while True:
         if following < size:
-            stack.append((following, chain, label))
-            chain += (items[following],)
-            label = label + tails[following] if label else heads[following]
-            yield chain, label
+            stack.append((following, chain, label, special))
+            item = items[following]
+            if chain:
+                special = special and chain[-1] + 1 != item
+                label += tails[following]
+            else:
+                label = heads[following]
+            chain += (item,)
+            yield chain, label, special
             following += gap
         elif stack:
-            following, chain, label = stack.pop()
+            following, chain, label, special = stack.pop()
             following += 1
         else:
             return
 
 
-def _lex_subsets(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], str]]:
-    """(subset, label) for every subset of items, in lexicographic order."""
+def _lex_subsets(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], str, bool]]:
+    """(subset, label, special) for every subset of items, in lexicographic
+    order."""
     return _lex_chains(items, 1)
 
 
-def _special_members(n: int, separator: str = ",") -> Iterator[tuple[tuple[int, ...], str]]:
-    """(members, label) for the special subsets of [n-1], in lexicographic
-    order."""
+def _special_members(n: int, separator: str = ",") -> Iterator[tuple[tuple[int, ...], str, bool]]:
+    """(members, label, True) for the special subsets of [n-1], in
+    lexicographic order."""
     return _lex_chains(tuple(range(1, n)), 2, separator)
 
 
@@ -211,7 +220,7 @@ def enumerate_special(n: int) -> list[SimpleSubset]:
     """
     if n < 1:
         raise ValueError("rank must be at least 1")
-    return [SimpleSubset._trusted(n, members, True) for members, _ in _special_members(n)]
+    return [SimpleSubset._trusted(n, members, True) for members, _, _ in _special_members(n)]
 
 
 def special_count(n: int) -> int:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -34,18 +35,35 @@ def run_main(capsys, *argv):
     return code, captured.out
 
 
-def run_cli(*argv, env_extra=None):
+# the two module entries of a fresh process: `python -m quadrics` (the one
+# the benchmark runs) and `python -m quadrics.cli`
+ENTRIES = ("quadrics", "quadrics.cli")
+
+
+def cli_env(env_extra=None):
     env = dict(os.environ)
     env.pop("QUADRICS_FORMAT", None)
     if env_extra:
         env.update(env_extra)
-    proc = subprocess.run(
-        [sys.executable, "-m", "quadrics.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+    return env
+
+
+def run_cli(*argv, env_extra=None):
+    """(exit code, stdout, stderr) of the command in a fresh process,
+    asserted the same through each module entry."""
+    results = [
+        subprocess.run(
+            [sys.executable, "-m", entry, *argv],
+            capture_output=True,
+            text=True,
+            env=cli_env(env_extra),
+        )
+        for entry in ENTRIES
+    ]
+    first, *others = ((proc.returncode, proc.stdout, proc.stderr) for proc in results)
+    for other in others:
+        assert other == first
+    return first
 
 
 def test_poincare_both_methods_agree(capsys):
@@ -702,28 +720,31 @@ def test_special_count_does_not_list(capsys):
     assert out == "453973694165307953197296969697410619233826\n"  # F(201)
 
 
-@pytest.fixture
-def int_digit_limit():
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    saved = get_limit() if get_limit else None
-    yield
-    if saved is not None:
-        sys.set_int_max_str_digits(saved)
-
-
-def test_special_count_prints_every_digit(capsys, int_digit_limit):
-    # 4,389 digits: past the interpreter's default int-to-str limit of 4,300
+def test_special_count_prints_every_digit(capsys):
+    # 4,389 digits: past the interpreter's default int-to-str limit of
+    # 4,300, which main lifts to print the count and must leave as it was
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
     expected = special_count(21000)
+    # the digits by repeated division, so the test itself needs no lifted limit
+    digits = ""
+    rest = expected
+    while rest:
+        rest, digit = divmod(rest, 10)
+        digits = str(digit) + digits
+    assert len(digits) == 4389
     code, out = run_main(capsys, "special", "--n", "21000", "--count")
     assert code == 0
-    assert len(out) == 4389 + 1
-    assert int(out) == expected
+    assert out == digits + "\n"
+    assert get_limit() == limit
     code, out = run_main(capsys, "special", "--n", "21000", "--count", "--format", "csv")
     assert code == 0
-    assert out.splitlines() == ["count", str(expected)]
+    assert out.splitlines() == ["count", digits]
+    assert get_limit() == limit
     code, out = run_main(capsys, "special", "--n", "21000", "--count", "--format", "json")
     assert code == 0
-    assert json.loads(out) == {"n": 21000, "count": expected}
+    assert json.loads(out, parse_int=str) == {"n": "21000", "count": digits}
+    assert get_limit() == limit
 
 
 def test_fixed_quadrics_block_two(capsys):
@@ -794,16 +815,15 @@ def test_out_to_missing_directory_is_invalid_input(tmp_path, capsys):
     assert not target.exists()
 
 
-def test_closed_stdout_pipe_exits_141_silently():
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_closed_stdout_pipe_exits_141_silently(entry):
     # `special --n 26 | head -1`: the report is megabytes, so the writer
     # meets the closed pipe; a reader that stopped early is not bad input
-    env = dict(os.environ)
-    env.pop("QUADRICS_FORMAT", None)
     child = subprocess.Popen(
-        [sys.executable, "-m", "quadrics.cli", "special", "--n", "26"],
+        [sys.executable, "-m", entry, "special", "--n", "26"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=cli_env(),
     )
     assert child.stdout.readline() == b"{}\n"
     child.stdout.close()
@@ -811,6 +831,53 @@ def test_closed_stdout_pipe_exits_141_silently():
     child.stderr.close()
     assert child.wait(timeout=60) == 141
     assert err == b""
+
+
+# Runs a module entry as `python -m` does and, at exit, after the entry has
+# returned, prints the size of the permanent generation to stderr.
+FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+entry, sys.argv[1:] = sys.argv[1], sys.argv[2:]
+runpy.run_module(entry, run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize(
+    "argv, code",
+    [(("special", "--n", "4", "--count"), 0), (("special", "--n", "0"), 2), (("special", "--n"), 2)],
+    ids=["ok", "invalid", "usage"],
+)
+def test_process_entry_freezes_the_heap_before_exit(entry, argv, code):
+    # the exit-time collections skip a frozen heap; the freeze comes after
+    # main, so the report and exit code are the in-process ones
+    proc = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE, entry, *argv],
+        capture_output=True,
+        text=True,
+        env=cli_env(),
+    )
+    assert proc.returncode == code
+    assert proc.stdout == ("5\n" if code == 0 else "")
+    *report, probe = proc.stderr.splitlines()
+    assert probe.startswith("frozen ") and int(probe.split()[1]) > 0
+    assert bool(report) == (code != 0)
+
+
+def test_main_leaves_the_heap_unfrozen(capsys, tmp_path):
+    # tests and library callers run main in their own process, whose heap
+    # must stay collectable
+    before = gc.get_freeze_count()
+    for argv in (
+        ("special", "--n", "4", "--count"),
+        ("special", "--n", "0"),
+        ("poincare", "--n", "20", "--subset", "1"),
+        ("verify", "--n", "4", "--checks", "regularity", "--out", str(tmp_path / "report.txt")),
+    ):
+        main(list(argv))
+        assert gc.get_freeze_count() == before, argv
+    capsys.readouterr()
 
 
 def test_out_file(tmp_path, capsys):

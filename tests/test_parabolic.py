@@ -125,7 +125,7 @@ def test_long_subset_listings_do_not_recurse():
     odd = tuple(range(1, 3000, 2))
     chains = [odd[:size] for size in range(len(odd) + 1)]
     for listing in (
-        (members for members, _ in _special_members(3001)),
+        (members for members, _, _ in _special_members(3001)),
         (k.members for k in SimpleSubset(3001, odd).subsets()),
     ):
         items = list(itertools.islice(listing, 2000))
@@ -137,10 +137,13 @@ def test_long_subset_listings_do_not_recurse():
 
 @pytest.mark.parametrize("gap", [1, 2])
 def test_lex_chains_label_each_chain(gap):
+    def special(members):
+        return SimpleSubset(members[-1] + 1 if members else 1, members).is_special()
+
     for n in range(1, 15):
         items = tuple(range(1, n))
         walk = list(_lex_chains(items, gap))
-        chains = [m for m, _ in walk]
+        chains = [m for m, _, _ in walk]
         # every chain of members at least gap apart, in lexicographic order
         assert chains == sorted(
             chosen
@@ -148,25 +151,30 @@ def test_lex_chains_label_each_chain(gap):
             for chosen in itertools.combinations(items, size)
             if all(b - a >= gap for a, b in zip(chosen, chosen[1:]))
         ), n
-        assert walk == [(m, ",".join(map(str, m))) for m in chains], n
-    odd = (1, 3, 5, 7, 11, 13)
-    assert list(_lex_chains(odd, 1, ";")) == [(m, ";".join(map(str, m))) for m, _ in _lex_chains(odd, 1)]
+        assert walk == [(m, ",".join(map(str, m)), special(m)) for m in chains], n
+    # items that are not consecutive integers: (5, 7) is special, (11, 12)
+    # and every chain holding both are not
+    items = (1, 3, 5, 7, 11, 12, 13)
+    walk = list(_lex_chains(items, 1, ";"))
+    assert walk == [(m, ";".join(map(str, m)), special(m)) for m, _, _ in _lex_chains(items, 1)]
+    assert {m: s for m, _, s in walk}[(5, 7)] is True
+    assert {m: s for m, _, s in walk}[(1, 11, 12)] is False
+    # the 16 subsets of (1, 3, 5, 7), each joined with one of the 5 special
+    # subsets of (11, 12, 13)
+    assert sum(s for _, _, s in walk) == 16 * 5
 
 
 def test_trusted_subset_equals_the_checked_one():
     for n in range(1, 11):
         for members in all_subsets(n):
             checked = SimpleSubset(n, members)
-            for trusted in (
-                SimpleSubset._trusted(n, members),
-                SimpleSubset._trusted(n, members, checked.is_special()),
-            ):
-                assert trusted == checked and hash(trusted) == hash(checked)
-                assert trusted.n == checked.n and trusted.members == checked.members
-                assert trusted.is_special() == checked.is_special()
-                assert str(trusted) == str(checked) and trusted.mask == checked.mask
-                assert list(trusted.subsets()) == list(checked.subsets())
-            for k, checked_k in zip(checked.subsets(), (SimpleSubset(n, m) for m, _ in _lex_chains(members, 1))):
+            trusted = SimpleSubset._trusted(n, members, checked.is_special())
+            assert trusted == checked and hash(trusted) == hash(checked)
+            assert trusted.n == checked.n and trusted.members == checked.members
+            assert trusted.is_special() == checked.is_special()
+            assert str(trusted) == str(checked) and trusted.mask == checked.mask
+            assert list(trusted.subsets()) == list(checked.subsets())
+            for k, checked_k in zip(checked.subsets(), (SimpleSubset(n, m) for m, _, _ in _lex_chains(members, 1))):
                 assert k == checked_k and k.is_special() == checked_k.is_special()
 
 
