@@ -170,10 +170,10 @@ CHUNK_RECORDS = 256
 
 
 def _emit(args: argparse.Namespace, parts) -> None:
-    """The one report writer: the report's parts, strings that each end in
-    a newline, to --out or stdout, CHUNK_RECORDS parts per write. Reports
-    are generated as they are written, so memory stays flat however long
-    they are; every command raises its input errors before calling this."""
+    """The one report writer: the report's parts, strings, to --out or
+    stdout, CHUNK_RECORDS parts per write. Reports are generated as they
+    are written, so memory stays flat however long they are; every command
+    raises its input errors before calling this."""
     chunks = _chunks(parts)
     if args.out:
         with open(args.out, "w") as handle:
@@ -195,17 +195,16 @@ def _emit_json(args: argparse.Namespace, doc) -> None:
     _emit(args, [json.dumps(doc, indent=2) + "\n"])
 
 
-# The streamed JSON reports reproduce json.dumps(doc, indent=2) byte for
-# byte; each lays out one array a record per part.
-def _json_items(items):
-    """The encoded items of a non-empty JSON array, each ending its line
-    with the comma json.dumps puts after every item but the last."""
+def _json_array(opening: str, items, closing):
+    """The parts of a streamed JSON document that holds one non-empty array,
+    as json.dumps(doc, indent=2) lays it out: opening, ending in the array's
+    "[\n", the items, then closing, an iterable of strings. Every item opens
+    with the ",\n" json.dumps puts between items, so each is passed on as it
+    comes and only the first loses it. Nothing is drawn from items or closing
+    before the writer asks for it."""
     items = iter(items)
-    item = next(items)
-    for following in items:
-        yield item + ",\n"
-        item = following
-    yield item + "\n"
+    first = (opening + item.removeprefix(",\n") for item in islice(items, 1))
+    return chain(first, items, closing)
 
 
 def _json_ints(values, indent: str) -> str:
@@ -322,17 +321,13 @@ def _duality(i_set: SimpleSubset) -> bool:
 
 
 def _euler(i_set: SimpleSubset) -> bool:
-    n, size = i_set.n, len(i_set)
-    numerator = math.factorial(n) * 3**size
-    if numerator % 2**size:
-        return False
+    size = len(i_set)
     count = sum(minimal_coset_rep_count(k) for k in i_set.subsets())
     return (
         product_formula(i_set).evaluate_at_one()
         == poincare_sum(i_set).evaluate_at_one()
         == count
-        == numerator // 2**size
-    )
+    ) and count << size == math.factorial(i_set.n) * 3**size
 
 
 def _fixed_quadrics(m: int) -> bool:
@@ -375,22 +370,21 @@ CHECKS = {
 ALL_CHECKS = tuple(CHECKS)
 
 
-def _verify_results(reports, tally: dict):
-    """(check, label, ok) for each item of the report in order, each item
-    checked as the report reaches it; tally[True] and tally[False] count
-    the passes and failures once each check is done."""
+def _verify_rows(reports, tally: list, head, tails, quote_commas: bool = False):
+    """Each row of the report, head(check) + label + tails[ok], each item
+    checked as the report reaches it and counted in tally[ok]; head(check)
+    is formatted once per check, and tails is the format's (fail, pass)
+    pair. With quote_commas a label that holds a comma is quoted, as CSV
+    needs. No check name or label holds a quote or a line break (the tests
+    pin this), so nothing else is escaped."""
     for check, items in reports:
-        test = CHECKS[check].test
-        passed = failed = 0
+        test, start = CHECKS[check].test, head(check)
         for label, payload in items:
             ok = test(payload)
-            if ok:
-                passed += 1
-            else:
-                failed += 1
-            yield check, label, ok
-        tally[True] += passed
-        tally[False] += failed
+            tally[ok] += 1
+            if quote_commas and "," in label:
+                label = '"' + label + '"'
+            yield start + label + tails[ok]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -412,49 +406,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # listing the items refuses a --subset that a check needs special
     reports = [(check, CHECKS[check].items(n, subset)) for check in checks]
     _load_capped(args, *chain.from_iterable(CHECKS[c].layers for c in checks))
-    tally = {True: 0, False: 0}
-    results = _verify_results(reports, tally)
+    tally = [0, 0]  # failures and passes, complete once the last row is out
+    # each closing is formatted from the tally when the writer reaches it
     if args.format == "json":
-        report = _verify_json(n, checks, results, tally)
+        names = '",\n    "'.join(checks)
+        report = _json_array(
+            f'{{\n  "n": {n},\n  "checks": [\n    "{names}"\n  ],\n  "results": [\n',
+            _verify_rows(reports, tally, ',\n    {{\n      "check": "{}",\n      "label": "'.format,
+                         ('",\n      "ok": false\n    }', '",\n      "ok": true\n    }')),
+            map(_verify_json_closing, [tally]),
+        )
     elif args.format == "csv":
-        report = chain(["check,label,ok\n"], (
-            f"{check},{_csv_field(label)},{'pass' if ok else 'FAIL'}\n"
-            for check, label, ok in results
-        ))
+        report = chain(["check,label,ok\n"], _verify_rows(
+            reports, tally, "{},".format, (",FAIL\n", ",pass\n"), quote_commas=True))
     else:
-        report = _verify_text(results, tally)
+        report = chain(_verify_rows(reports, tally, "{} ".format, (": FAIL\n", ": pass\n")),
+                       map("result: {0[1]} passed, {0[0]} failed\n".format, [tally]))
     _emit(args, report)
     return EXIT_OK if tally[False] == 0 else EXIT_CHECK_FAILED
 
 
-def _csv_field(text: str) -> str:
-    """text as one CSV field: quoted, with its quotes doubled, when it holds
-    a comma, a quote or a line break (RFC 4180), as I={1,3} does."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _verify_json(n: int, checks, results, tally: dict):
-    import json  # imported by the JSON reports alone
-
-    dumps = json.dumps
-    # the fields before and after the results as json.dumps lays them out
-    yield dumps({"n": n, "checks": checks}, indent=2)[:-2] + ',\n  "results": [\n'
-    yield from _json_items(
-        f'    {{\n      "check": {dumps(check)},\n      "label": {dumps(label)},\n'
-        f'      "ok": {dumps(ok)}\n    }}'
-        for check, label, ok in results
-    )
-    failed = tally[False]
-    tail = {"passed": tally[True], "failed": failed, "verdict": "fail" if failed else "ok"}
-    yield "  ]," + dumps(tail, indent=2)[1:] + "\n"
-
-
-def _verify_text(results, tally: dict):
-    for check, label, ok in results:
-        yield f"{check} {label}: {'pass' if ok else 'FAIL'}\n"
-    yield f"result: {tally[True]} passed, {tally[False]} failed\n"
+def _verify_json_closing(tally: list) -> str:
+    failed, passed = tally
+    verdict = "fail" if failed else "ok"
+    return f'\n  ],\n  "passed": {passed},\n  "failed": {failed},\n  "verdict": "{verdict}"\n}}\n'
 
 
 # --- cells ---------------------------------------------------------------------
@@ -486,11 +461,8 @@ def cmd_cells(args: argparse.Namespace) -> int:
 
 def _cells_json(n: int, subset, rows):
     subset_field = "null" if subset is None else _json_ints(subset.members, "  ")
-    records = rows(",\n        ", _json_head, _json_tail)
-    # every record opens with the comma ending the one before, but the first
-    first = next(records).removeprefix(",\n")
     opening = f'{{\n  "n": {n},\n  "subset": {subset_field},\n  "records": [\n'
-    return chain([opening + first], records, ["\n  ]\n}\n"])
+    return _json_array(opening, rows(",\n        ", _json_head, _json_tail), ["\n  ]\n}\n"])
 
 
 def _json_head(k: SimpleSubset) -> str:
@@ -567,13 +539,11 @@ def cmd_special(args: argparse.Namespace) -> int:
     # each format walks the subsets with its own separator, so every label
     # is one concatenation from its parent's (see _json_ints for the JSON)
     if args.format == "json":
-        _emit(args, chain(
-            [f'{{\n  "n": {n},\n  "count": {count},\n  "subsets": [\n'],
-            _json_items(
-                "    [\n      " + label + "\n    ]" if label else "    []"
-                for _, label, _ in _special_members(n, ",\n      ")
-            ),
-            ["  ]\n}\n"],
+        _emit(args, _json_array(
+            f'{{\n  "n": {n},\n  "count": {count},\n  "subsets": [\n',
+            (",\n    [\n      " + label + "\n    ]" if label else ",\n    []"
+             for _, label, _ in _special_members(n, ",\n      ")),
+            ["\n  ]\n}\n"],
         ))
     elif args.format == "csv":
         # the empty subset is one empty field, written "" as csv.writer does

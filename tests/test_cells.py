@@ -26,7 +26,7 @@ from quadrics.parabolic import (
     enumerate_special,
     minimal_coset_reps,
 )
-from quadrics import qpoly
+from quadrics import nilfix, qpoly
 from quadrics.qpoly import (
     QPolynomial,
     is_palindromic,
@@ -35,7 +35,7 @@ from quadrics.qpoly import (
     product_formula,
     q_integer,
 )
-from quadrics.symmetric_group import Permutation, identity
+from quadrics.symmetric_group import Permutation, WeightVector, identity
 
 from oracles import (
     cell_dim_in_subvariety,
@@ -489,3 +489,47 @@ def test_cell_record_is_an_immutable_named_tuple():
     assert record == CellRecord(k, w, r, dim_x) and dim_xi is None
     with pytest.raises(AttributeError):
         record.dim_x = 0
+
+
+# Input guards that the rest of the suite never reaches, one case each.
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: per_orbit_sum(SimpleSubset(4, (2,)), SimpleSubset(4, (1, 3))), SubsetViolationError),
+        (
+            lambda: descent_characterization_check(SimpleSubset(4, (2,)), SimpleSubset(4, (1, 3))),
+            SubsetViolationError,
+        ),
+        (lambda: poincare_full_variety(0), ValueError),
+        (lambda: enumerate_special(0), ValueError),
+        (lambda: qpoly.height_identity_check(0), ValueError),
+        (lambda: nilfix.regular_nilpotent(0), ValueError),
+        (lambda: nilfix.fixed_quadric_space(0), ValueError),
+        (lambda: monomial(-1), ValueError),
+        (lambda: qpoly.one_minus_q_pow(0), ValueError),
+        (lambda: qpoly.q_factorial(-1), ValueError),
+        (lambda: Permutation((2, 1))(3), ValueError),
+        (lambda: WeightVector(()), ValueError),
+        (lambda: WeightVector((1, 2)) + WeightVector((1, 2, 3)), ValueError),
+        (lambda: WeightVector((1.5,)), TypeError),
+    ],
+    ids=[
+        "per_orbit_sum-K-not-in-I",
+        "descent_characterization_check-K-not-in-I",
+        "poincare_full_variety-0",
+        "enumerate_special-0",
+        "height_identity_check-0",
+        "regular_nilpotent-0",
+        "fixed_quadric_space-0",
+        "monomial-negative",
+        "one_minus_q_pow-0",
+        "q_factorial-negative",
+        "permutation-index-out-of-range",
+        "weight-vector-rank-0",
+        "weight-vectors-of-two-ranks",
+        "weight-vector-of-floats",
+    ],
+)
+def test_input_guard_refuses(call, error):
+    with pytest.raises(error):
+        call()

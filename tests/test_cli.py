@@ -250,6 +250,29 @@ def test_verify_csv_rows_parse_into_check_label_ok(capsys):
         assert ["km", "I={1,3}", "pass"] in rows
 
 
+def test_verify_names_and_labels_need_no_escaping():
+    # verify writes each check name and label between literal quotes in
+    # JSON, and in CSV quotes a label exactly when it holds a comma
+    def literal(text):
+        assert json.dumps(text) == '"' + text + '"', text
+        assert not any(c in text for c in '"\r\n'), text
+
+    for check in cli.CHECKS:
+        literal(check)
+    for n in range(1, 13):
+        universe = list(SimpleSubset(n, range(1, n)).subsets())
+        for check, entry in cli.CHECKS.items():
+            items = list(entry.items(n, None))
+            for subset in universe:
+                if subset.is_special() or check == "regularity":
+                    items += entry.items(n, subset)
+            assert items, (check, n)
+            for label, payload in items:
+                literal(label)
+                members = len(payload) if isinstance(payload, SimpleSubset) else 0
+                assert ("," in label) == (members >= 2), label
+
+
 @pytest.mark.parametrize("spelling", [",", " "])
 def test_verify_empty_check_list_is_invalid_input(spelling, capsys):
     code = main(["verify", "--n", "4", "--checks", spelling])
