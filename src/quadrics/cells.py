@@ -42,17 +42,22 @@ for twice and are not kept.
 The listings are generated as text rows (`fixed_point_rows`,
 `fixed_point_rows_full_variety`), in a layout the caller gives as a
 separator and two formatters, head(K) and tail(R, dim_x, dim_xi). Each
-row is one concatenation: head(K), formatted once per K; the images as
-the depth-first search joins them with the separator; and the tail. The
-search carries ell(w) and, as its hits against the references of
-`kernel.r_references` (listed once per K), R_K(w). The tail depends on
-(K, w) only through ell(w) + |K| and R_K(w), so each distinct pair is
-formatted once per listing and remembered until the listing ends: at
-most a few thousand short strings at n = 8. No object is built per row,
-so a caller that writes the rows in fixed-size chunks (as `quadrics
-cells` does) holds one chunk at a time. `fixed_points` and
-`fixed_points_full_variety` list the same fixed points as CellRecord
-objects, from the search's image tuples.
+row is one concatenation: the text the depth-first search yields, which
+starts with head(K) (formatted once per K and given as the search's
+root) and joins the images with the separator; and the tail. The search
+carries ell(w) and, as its hits against the references of
+`kernel.r_references` (listed once per K), R_K(w). Each listing keeps two
+memos, both dropped when it ends:
+- the search's suffixes, the text of every order of each set of four
+  values its leaves place, shared by the searches of all its K: at most
+  n!/(n-4)! strings (1,680 at n = 8), however large W^K is;
+- the tails: a tail depends on (K, w) only through ell(w) + |K| and
+  R_K(w), so each distinct pair is formatted once, at most a few thousand
+  short strings at n = 8.
+No object is built per row, so a caller that writes the rows in
+fixed-size chunks (as `quadrics cells` does) holds one chunk at a time.
+`fixed_points` and `fixed_points_full_variety` list the same fixed points
+as CellRecord objects, from the search's image tuples.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 from quadrics.kernel import cell_census, r_references
 from quadrics.parabolic import (
     SimpleSubset,
+    _coset_rep_search,
     enumerate_special,
     is_minimal_rep,
     longest_element,
@@ -265,19 +271,23 @@ def _dims(forced: int, r: tuple[int, ...], outside: Optional[frozenset[int]]) ->
 def _text_rows(
     ks: Iterable[SimpleSubset], outside: Optional[frozenset[int]], separator: str, head: Head, tail: Tail
 ) -> Iterator[str]:
-    """Rows over W^K for each K of ks in turn, each one concatenation:
-    head(K), formatted once per K, the images as the search joins them, and
-    the tail. The tail depends on (K, w) only through ell(w) + |K| and
-    R_K(w), so it is formatted once per distinct pair in the listing."""
+    """Rows over W^K for each K of ks in turn, each one concatenation: the
+    search's text, head(K) (formatted once per K) and the images joined,
+    then the tail. The searches of all K share one memo of suffixes. The
+    tail depends on (K, w) only through ell(w) + |K| and R_K(w), so it is
+    formatted once per distinct pair in the listing."""
     tails: dict[tuple[int, tuple[int, ...]], str] = {}
+    suffixes: dict = {}
     for k in ks:
-        head_k, size = head(k), len(k)
-        for text, length, r in minimal_coset_rep_images(k, r_references(k.n, k.members), separator):
+        size = len(k)
+        for text, length, r in _coset_rep_search(
+            k.n, k.members, r_references(k.n, k.members), separator, head(k), suffixes
+        ):
             key = length + size, r
             tail_text = tails.get(key)
             if tail_text is None:
                 tail_text = tails[key] = tail(r, *_dims(key[0], r, outside))
-            yield head_k + text + tail_text
+            yield text + tail_text
 
 
 def _records(ks: Iterable[SimpleSubset], outside: Optional[frozenset[int]]) -> list[CellRecord]:

@@ -27,21 +27,31 @@ placing a value at position p+1 only above w(p) when p is in K. The
 search carries ell(w) as the sum of the Lehmer-code digits, the index of
 each chosen value among those still unplaced, and, given pairs (i, p),
 the hits: the i with images[i] < images[p], each decided as index i is
-placed. Each leaf places the last three values at once, in the orders
-of three that K allows, which are settled once per search with their
-inversions and the hits they decide among themselves. Given a separator,
-the search carries the images as text, joined by it, one concatenation
-per placed value, and yields that in place of the tuple: `cells` builds
-its listing rows from it, and with the pairs (i, i-1) the hits are the
-right descents the descent check reads. It keeps at most n(n+1)/2
-partial permutations pending.
+placed. Each leaf places the last four values at once (all n of them
+when n <= 4) from tables. The orders of four that K allows are listed once
+per search with their inversions. A leaf's key is the ranks, among its
+four unplaced values, of the prefix entries it reads: the floor w(q) when
+q is in K, and each entry a leaf index is compared with. The table of a
+key, built on first use, holds each order above the floor with its
+inversions and the hits it decides. The leaf's images are read off a
+memo of suffixes, each order of each set of four values as a tuple or as
+text joined by the separator; the memo does not depend on K, so one
+listing shares it across its K and holds at most n!/(n-4)! suffixes.
+Given a separator, the search carries the images as text, joined by it
+after a root text, one concatenation per placed value, and yields that in
+place of the tuple: `cells` builds its listing rows from it, with head(K)
+as the root, and with the pairs (i, i-1) the hits are the right descents
+the descent check reads. It keeps at most n(n-1)/2 partial permutations
+pending. The orders of each leaf size, 1 to 4, are kept between searches.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, permutations
-from operator import sub
-from typing import Iterable, Iterator
+from bisect import bisect
+from functools import lru_cache
+from itertools import accumulate, combinations, permutations
+from operator import itemgetter, sub
+from typing import Callable, Iterable, Iterator
 
 from quadrics.symmetric_group import Permutation
 
@@ -272,7 +282,8 @@ def minimal_coset_rep_images(
     p < i, each i at most once, in the form `kernel.r_references` returns;
     hits holds the i, ascending, with images[i] < images[p]. Given a
     separator, each item carries the images joined by it in place of the
-    tuple. K is checked before the first item.
+    tuple. K and the references are checked before the first item: each
+    pair needs 0 <= p < i <= n - 1, and no i may repeat.
 
     >>> list(minimal_coset_rep_images(SimpleSubset(3, (1,)), [(2, 0)]))
     [((1, 2, 3), 0, ()), ((1, 3, 2), 1, ()), ((2, 3, 1), 2, (2,))]
@@ -280,24 +291,35 @@ def minimal_coset_rep_images(
     ['1-2-3', '1-3-2', '2-3-1']
     """
     require_special(k)
+    references = tuple(references)
+    compared = set()
+    for i, p in references:
+        if not 0 <= p < i <= k.n - 1:
+            raise ValueError(f"reference ({i}, {p}) needs 0 <= p < i <= {k.n - 1}")
+        if i in compared:
+            raise ValueError(f"index {i} has two references")
+        compared.add(i)
     return _coset_rep_search(k.n, k.members, references, separator)
 
 
 def _coset_rep_search(
-    n: int, members: tuple[int, ...], references: Iterable[tuple[int, int]], separator: str | None
+    n: int,
+    members: tuple[int, ...],
+    references: Iterable[tuple[int, int]],
+    separator: str | None,
+    root: str = "",
+    suffixes: dict | None = None,
 ) -> Iterator[CosetRep]:
+    """The items of minimal_coset_rep_images, the references taken as
+    valid. Given a separator, each text starts with root. suffixes maps
+    each set of values a leaf places to the texts (or, with no separator,
+    the tuples) of its orders; it does not depend on K, so the searches of
+    one listing, with one rank and one separator, may share it."""
     # ascent[p]: position p is in K, so w(p+1) must exceed w(p)
     ascent = [False] * (n + 1)
     for i in members:
         ascent[i] = True
     against = list(map(dict(references).get, range(n)))  # i: the index images[i] is compared with, or None
-    if n < 3:
-        # S_1 and S_2, too small for the leaves below, which place three indices
-        for images in [(1,)] if n == 1 else [(1, 2)] if ascent[1] else [(1, 2), (2, 1)]:
-            length = images[0] - 1
-            hits = (1,) if length and against[1] == 0 else ()
-            yield (images if separator is None else separator.join(map(str, images))), length, hits
-        return
     # text: the images joined by separator, one concatenation per placed
     # value; pieces[p][value] is what placing value at index p appends. With
     # no separator every piece is "", which concatenates for free
@@ -307,56 +329,97 @@ def _coset_rep_search(
         firsts = list(map(str, range(n + 1)))
         inner = [separator + value for value in firsts]
     pieces = [firsts] + [inner] * (n - 1)
-    # the leaves place the last three indices q, q+1, q+2 together. What does
-    # not depend on the prefix is settled once for each order of the three
-    # unplaced values, given as their ranks: whether K allows it, its
-    # inversions, and whether q+1 and q+2 are hits against one of the three.
-    # below1 and below2: the earlier index q+1 and q+2 are compared with
-    q = n - 3
-    orders = []
-    for order in permutations(range(3)):
-        if any(ascent[q + t] and order[t] < order[t - 1] for t in (1, 2)):
-            continue
-        inversions = sum(order[s] > order[t] for s, t in ((0, 1), (0, 2), (1, 2)))
-        inside = [j is not None and j >= q and order[t] < order[j - q] for t, j in enumerate(against[q:])]
-        orders.append((*order, inversions, inside[1], inside[2]))
-    below1, below2 = (j if j is not None and j < q else None for j in against[q + 1 :])
+    # the leaves place the last indices q, ..., n-1 together, all n of them
+    # when n <= 4: the orders K allows inside the leaf, as ranks among the
+    # unplaced values, with their inversions
+    q = max(n - 4, 0)
+    size = n - q
+    rises = [t for t in range(1, size) if ascent[q + t]]
+    orders = _leaf_orders(size)
+    allowed = [
+        (index, order, inversions)
+        for index, (order, inversions, _) in enumerate(orders)
+        if all(order[t - 1] < order[t] for t in rises)
+    ]
+    # a leaf's key: the ranks among the unplaced values of the prefix
+    # entries it reads, the floor (index q-1, when q is in K) and each one
+    # a leaf index is compared with. Each comparison is (index, t, s): a hit
+    # when ranks[t] < ranks[s], ranks the order followed by the key
+    read = sorted({j for j in against[q:] if j is not None and j < q} | ({q - 1} if ascent[q] else set()))
+    comparisons = [
+        (q + t, t, j - q if j >= q else size + read.index(j))
+        for t, j in enumerate(against[q:])
+        if j is not None
+    ]
+
+    def leaf_rows(key: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...]]]:
+        """(order's index, inversions, the leaf's hits) for each allowed
+        order whose first value lies above the floor."""
+        floor = key[read.index(q - 1)] if ascent[q] else 0
+        rows = []
+        for index, order, inversions in allowed:
+            if order[0] >= floor:
+                ranks = order + key
+                leaf_hits = tuple([i for i, t, s in comparisons if ranks[t] < ranks[s]])
+                rows.append((index, inversions, leaf_hits))
+        return rows
+
+    def leaf_suffixes(unplaced: tuple[int, ...]) -> list:
+        """Each order of the unplaced values, as a tuple or as the text the
+        leaf appends."""
+        if separator is None:
+            return [pick(unplaced) for _, _, pick in orders]
+        texts = tuple(map(firsts.__getitem__, unplaced))
+        lead = separator if q else ""
+        return [lead + separator.join(pick(texts)) for _, _, pick in orders]
+
+    tables: dict[tuple[int, ...], list] = {}
+    if suffixes is None:
+        suffixes = {}
     # (prefix, text, unplaced values in increasing order, inversions so far,
     # hits so far); children are pushed largest value first so the smallest
     # pops first
-    stack = [((), "", tuple(range(1, n + 1)), 0, ())]
+    stack = [((), root, tuple(range(1, n + 1)), 0, ())]
     pop, push = stack.pop, stack.append
     while stack:
         prefix, text, unplaced, length, hits = pop()
         p = len(prefix)
+        if p == q:
+            key = tuple([bisect(unplaced, prefix[j]) for j in read])
+            rows = tables.get(key)
+            if rows is None:
+                rows = tables[key] = leaf_rows(key)
+            ends = suffixes.get(unplaced)
+            if ends is None:
+                ends = suffixes[unplaced] = leaf_suffixes(unplaced)
+            if separator is None:
+                text = prefix
+            for index, inversions, leaf_hits in rows:
+                yield text + ends[index], length + inversions, hits + leaf_hits
+            continue
         floor = prefix[-1] if ascent[p] else 0
         # a value placed at index p is a hit when below top
         top = 0 if (j := against[p]) is None else prefix[j]
         level = pieces[p]
-        if p == q:
-            top1 = 0 if below1 is None else prefix[below1]
-            top2 = 0 if below2 is None else prefix[below2]
-            for rank0, rank1, rank2, inversions, hit1, hit2 in orders:
-                x = unplaced[rank0]
-                if x > floor:
-                    y, z = unplaced[rank1], unplaced[rank2]
-                    tail = hits + (q,) if x < top else hits
-                    if hit1 or y < top1:
-                        tail += (q + 1,)
-                    if hit2 or z < top2:
-                        tail += (q + 2,)
-                    yield (
-                        prefix + (x, y, z) if separator is None else text + level[x] + inner[y] + inner[z],
-                        length + inversions,
-                        tail,
-                    )
-            continue
         for idx in range(len(unplaced) - 1, -1, -1):
             value = unplaced[idx]
             if value > floor:
                 hit = hits + (p,) if value < top else hits
                 rest = unplaced[:idx] + unplaced[idx + 1 :]
                 push((prefix + (value,), text + level[value], rest, length + idx, hit))
+
+
+@lru_cache(maxsize=None)
+def _leaf_orders(size: int) -> tuple[tuple[tuple[int, ...], int, Callable], ...]:
+    """(order, inversions, pick) for each order of size values given as
+    their ranks, in lexicographic order; pick(values) is the values in
+    that order, as a tuple. Kept for each size a leaf has, 1 to 4."""
+    return tuple(
+        # a one-item itemgetter returns the item itself; the one order of
+        # one value is the identity
+        (order, sum(a > b for a, b in combinations(order, 2)), itemgetter(*order) if size > 1 else tuple)
+        for order in permutations(range(size))
+    )
 
 
 def minimal_coset_reps(k: SimpleSubset) -> Iterator[Permutation]:

@@ -9,6 +9,10 @@ Nothing under src/ imports this file.
   `Permutation.right_descents` position by position.
 * comparison_hits, the comparisons of one finished row, checks the hits
   the W^K search decides as it places each position.
+  three_value_leaf_search is that search as it was when each leaf placed
+  the last three values one at a time; it checks the four-value leaves
+  of `parabolic._coset_rep_search`, which read their orders, hits and
+  text off per-K tables and a memo of suffixes, item for item.
 * parabolic_subgroup (W_K from its commuting generators) checks
   `parabolic.minimal_coset_reps` by the unique length-additive
   factorization w = u x, u in W^K, x in W_K.
@@ -45,7 +49,8 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from itertools import permutations
+from typing import Iterable, Iterator, Optional, Sequence
 
 from quadrics import cells, qpoly
 from quadrics.cells import SubsetViolationError, r_set
@@ -102,6 +107,87 @@ def comparison_hits(images: Sequence[int], references: Sequence[tuple[int, int]]
     """The i of the (i, p) in references with images[i] < images[p], read
     off the finished one-line images."""
     return [i for i, p in references if images[i] < images[p]]
+
+
+def three_value_leaf_search(
+    n: int, members: tuple[int, ...], references: Iterable[tuple[int, int]], separator: Optional[str]
+) -> Iterator[tuple]:
+    """The W^K search of `parabolic` as it was before its leaves placed four
+    indices from per-K tables: (images, or their text given a separator,
+    ell(w), hits) in lexicographic one-line order, each leaf placing the
+    last three values one lookup and one concatenation at a time. It checks
+    `parabolic._coset_rep_search` item for item."""
+    # ascent[p]: position p is in K, so w(p+1) must exceed w(p)
+    ascent = [False] * (n + 1)
+    for i in members:
+        ascent[i] = True
+    against = list(map(dict(references).get, range(n)))  # i: the index images[i] is compared with, or None
+    if n < 3:
+        # S_1 and S_2, too small for the leaves below, which place three indices
+        for images in [(1,)] if n == 1 else [(1, 2)] if ascent[1] else [(1, 2), (2, 1)]:
+            length = images[0] - 1
+            hits = (1,) if length and against[1] == 0 else ()
+            yield (images if separator is None else separator.join(map(str, images))), length, hits
+        return
+    # text: the images joined by separator, one concatenation per placed
+    # value; pieces[p][value] is what placing value at index p appends. With
+    # no separator every piece is "", which concatenates for free
+    if separator is None:
+        firsts = inner = [""] * (n + 1)
+    else:
+        firsts = list(map(str, range(n + 1)))
+        inner = [separator + value for value in firsts]
+    pieces = [firsts] + [inner] * (n - 1)
+    # the leaves place the last three indices q, q+1, q+2 together. What does
+    # not depend on the prefix is settled once for each order of the three
+    # unplaced values, given as their ranks: whether K allows it, its
+    # inversions, and whether q+1 and q+2 are hits against one of the three.
+    # below1 and below2: the earlier index q+1 and q+2 are compared with
+    q = n - 3
+    orders = []
+    for order in permutations(range(3)):
+        if any(ascent[q + t] and order[t] < order[t - 1] for t in (1, 2)):
+            continue
+        inversions = sum(order[s] > order[t] for s, t in ((0, 1), (0, 2), (1, 2)))
+        inside = [j is not None and j >= q and order[t] < order[j - q] for t, j in enumerate(against[q:])]
+        orders.append((*order, inversions, inside[1], inside[2]))
+    below1, below2 = (j if j is not None and j < q else None for j in against[q + 1 :])
+    # (prefix, text, unplaced values in increasing order, inversions so far,
+    # hits so far); children are pushed largest value first so the smallest
+    # pops first
+    stack = [((), "", tuple(range(1, n + 1)), 0, ())]
+    pop, push = stack.pop, stack.append
+    while stack:
+        prefix, text, unplaced, length, hits = pop()
+        p = len(prefix)
+        floor = prefix[-1] if ascent[p] else 0
+        # a value placed at index p is a hit when below top
+        top = 0 if (j := against[p]) is None else prefix[j]
+        level = pieces[p]
+        if p == q:
+            top1 = 0 if below1 is None else prefix[below1]
+            top2 = 0 if below2 is None else prefix[below2]
+            for rank0, rank1, rank2, inversions, hit1, hit2 in orders:
+                x = unplaced[rank0]
+                if x > floor:
+                    y, z = unplaced[rank1], unplaced[rank2]
+                    tail = hits + (q,) if x < top else hits
+                    if hit1 or y < top1:
+                        tail += (q + 1,)
+                    if hit2 or z < top2:
+                        tail += (q + 2,)
+                    yield (
+                        prefix + (x, y, z) if separator is None else text + level[x] + inner[y] + inner[z],
+                        length + inversions,
+                        tail,
+                    )
+            continue
+        for idx in range(len(unplaced) - 1, -1, -1):
+            value = unplaced[idx]
+            if value > floor:
+                hit = hits + (p,) if value < top else hits
+                rest = unplaced[:idx] + unplaced[idx + 1 :]
+                push((prefix + (value,), text + level[value], rest, length + idx, hit))
 
 
 # --- cell dimensions, one fixed point at a time ----------------------------

@@ -1,4 +1,5 @@
-from collections import defaultdict
+import tracemalloc
+from collections import defaultdict, deque
 
 import pytest
 
@@ -431,6 +432,25 @@ def test_fixed_points_full_variety():
     assert all(rec.dim_xi is None for rec in records)
     dims = sorted(rec.dim_x for rec in records)
     assert dims == [0, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 5]
+
+
+def test_listing_rows_stay_in_flat_memory():
+    # the full listing at n = 8 holds no row after it is handed out: its
+    # memos, the suffixes of the leaves (at most 8!/4! = 1,680) and the
+    # distinct tails (2,715), do not grow with |W^K|
+    def tail(r, dim_x, dim_xi):
+        return f" {r} {dim_x}\n"
+
+    assert sum(1 for _ in fixed_point_rows_full_variety(8, "", str, tail)) == 385_560
+    tracemalloc.start()
+    try:
+        # drained in C, keeping the last row
+        (last,) = deque(fixed_point_rows_full_variety(8, "", str, tail), maxlen=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert last == "{7}87654312 (1, 2, 3, 4, 5, 6) 34\n"
+    assert peak < 2_000_000, peak
 
 
 def test_listing_generators_check_input_before_the_first_record():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import sys
 import tracemalloc
 from collections import Counter
@@ -10,6 +11,7 @@ from quadrics.kernel import r_references
 from quadrics.parabolic import (
     NotSpecialError,
     SimpleSubset,
+    _coset_rep_search,
     _lex_chains,
     _special_members,
     enumerate_special,
@@ -22,7 +24,7 @@ from quadrics.parabolic import (
 )
 from quadrics.symmetric_group import Permutation, identity
 
-from oracles import comparison_hits, enumerate_permutations, parabolic_subgroup
+from oracles import comparison_hits, enumerate_permutations, parabolic_subgroup, three_value_leaf_search
 
 
 def all_subsets(n):
@@ -303,6 +305,58 @@ def test_search_hits_against_the_index_before_are_the_right_descents():
         for k in enumerate_special(n):
             for images, _, hits in minimal_coset_rep_images(k, adjacent):
                 assert hits == Permutation(images).right_descents, (k, images)
+
+
+# tuple mode, then the separators of the csv, the rank-10 and the JSON
+# listings; a text item starts with the root the caller gives
+SEPARATORS = (None, "", "-", ",\n        ")
+
+
+def oracle_cases(n):
+    """(K, references, separator) compared with the three-value-leaf
+    oracle at rank n: every special K up to n = 8, and K = {} and
+    {1, 3, 5, 7} at n = 9. Every reference kind meets every separator up
+    to n = 7; past it each kind meets one separator in turn, and at n = 9
+    the kinds are the four the package and its tests use most."""
+    ks = enumerate_special(n) if n <= 8 else [SimpleSubset(n, ()), SimpleSubset(n, (1, 3, 5, 7))]
+    for k in ks:
+        kinds = [(), r_references(n, k.members), [(i, i - 1) for i in range(1, n)], *earlier_reference_cases(n)]
+        if n == 9:
+            kinds = kinds[:4]
+        for index, references in enumerate(kinds):
+            for separator in SEPARATORS if n <= 7 else [SEPARATORS[index % len(SEPARATORS)]]:
+                yield k, references, separator
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_search_equals_the_three_value_leaf_oracle(n):
+    # n <= 4 is one leaf with no floor; from n = 5 on the leaves sit below
+    # a prefix. The items are compared as they come, so nothing is held
+    for k, references, separator in oracle_cases(n):
+        root = "" if separator is None else f"K={k} w="
+        expected = three_value_leaf_search(n, k.members, references, separator)
+        if root:
+            expected = ((root + text, length, hits) for text, length, hits in expected)
+        generated = _coset_rep_search(n, k.members, references, separator, root)
+        assert all(itertools.starmap(operator.eq, itertools.zip_longest(generated, expected))), (
+            k, references, separator,
+        )
+
+
+@pytest.mark.parametrize(
+    "n, references, message",
+    [
+        (5, [(2, 3)], r"reference \(2, 3\) needs 0 <= p < i <= 4"),
+        (5, [(2, 0), (2, 1)], "index 2 has two references"),
+        (5, [(7, 0)], r"reference \(7, 0\) needs 0 <= p < i <= 4"),
+        (5, [(1, -1)], r"reference \(1, -1\)"),
+    ],
+)
+def test_bad_references_are_refused_before_the_first_item(n, references, message):
+    # each used to pass the call: the first raised IndexError only once an
+    # item was drawn, the second kept its last pair, the third was ignored
+    with pytest.raises(ValueError, match=message):
+        minimal_coset_rep_images(SimpleSubset(n, ()), iter(references))
 
 
 def test_minimal_coset_reps_are_valid_permutations():
