@@ -22,36 +22,34 @@ which skips the checks the walk already guarantees (increasing, in range)
 and takes the walk's specialness as given.
 
 W^K is generated directly, never by filtering S_n: a depth-first search
-fills the one-line images left to right in increasing order of value,
-placing a value at position p+1 only above w(p) when p is in K. The
-search carries ell(w) as the sum of the Lehmer-code digits, the index of
-each chosen value among those still unplaced, and, given pairs (i, p),
-the hits: the i with images[i] < images[p], each decided as index i is
-placed. Each leaf places the last four values at once (all n of them
-when n <= 4) from tables. The orders of four that K allows are listed once
-per search with their inversions. A leaf's key is the ranks, among its
-four unplaced values, of the prefix entries it reads: the floor w(q) when
-q is in K, and each entry a leaf index is compared with. The table of a
-key, built on first use, holds each order above the floor with its
-inversions and the hits it decides. The leaf's images are read off a
-memo of suffixes, each order of each set of four values as a tuple or as
-text joined by the separator; the memo does not depend on K, so one
+fills the one-line images left to right in increasing order of value. K
+and the given pairs (i, p) are read one way, each index compared with an
+earlier one: images[i] must exceed images[i-1] for i in K, and i is a hit
+when images[i] < images[p]. The search carries ell(w) as the sum of the
+Lehmer-code digits, the index of each chosen value among those still
+unplaced, and the hits, each decided as its index is placed. Each leaf
+places the last four values at once (all n of them when n <= 4) from a
+table per pattern (its size and comparisons) and key (the ranks, among
+its unplaced values, of the prefix entries it reads): each order K allows,
+with its inversions and hits. Tables are built on first use and kept for
+the 64 patterns used last, so the searches of a process share them. The
+leaf's images are read off a memo of suffixes, each order of each set of
+unplaced values as a tuple or as text; it does not depend on K, so a
 listing shares it across its K and holds at most n!/(n-4)! suffixes.
 Given a separator, the search carries the images as text, joined by it
-after a root text, one concatenation per placed value, and yields that in
-place of the tuple: `cells` builds its listing rows from it, with head(K)
-as the root, and with the pairs (i, i-1) the hits are the right descents
-the descent check reads. It keeps at most n(n-1)/2 partial permutations
-pending. The orders of each leaf size, 1 to 4, are kept between searches.
+after a root text, one concatenation per placed value: `cells` builds its
+listing rows from it, with head(K) as the root, and with the pairs
+(i, i-1) the hits are the right descents the descent check reads. It
+keeps at most n(n-1)/2 partial permutations pending.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from functools import lru_cache
-from itertools import accumulate, combinations, permutations
-from operator import itemgetter, sub
-from typing import Callable, Iterable, Iterator
+from itertools import accumulate, combinations, permutations, starmap
+from operator import gt, sub
+from typing import Iterable, Iterator
 
 from quadrics.symmetric_group import Permutation
 
@@ -71,8 +69,15 @@ class SimpleSubset:
     """
 
     def __init__(self, n: int, members: Iterable[int] = ()):
+        # type, not isinstance: a bool or a float equal to an int is refused
+        if type(n) is not int:
+            raise ValueError(f"rank {n!r} is not an int")
         if n < 1:
             raise ValueError("rank must be at least 1")
+        members = tuple(members)
+        for m in members:
+            if type(m) is not int:
+                raise ValueError(f"member {m!r} is not an int")
         members = tuple(sorted(members))
         # the members are walked only to name the first offending one
         if len(set(members)) != len(members):
@@ -269,26 +274,21 @@ def is_minimal_rep(k: SimpleSubset, w: Permutation) -> bool:
     return True
 
 
-# One item of the W^K search: (w.images, or their text given a separator,
+# One item of the W^K search: (w.images, or in a listing their text,
 # ell(w), hits).
 CosetRep = tuple[tuple[int, ...] | str, int, tuple[int, ...]]
 
 
-def minimal_coset_rep_images(
-    k: SimpleSubset, references: Iterable[tuple[int, int]] = (), separator: str | None = None
-) -> Iterator[CosetRep]:
+def minimal_coset_rep_images(k: SimpleSubset, references: Iterable[tuple[int, int]] = ()) -> Iterator[CosetRep]:
     """(w.images, ell(w), hits) for each w in W^K, in lexicographic one-line
     order, generated one at a time. references holds (i, p) pairs with
     p < i, each i at most once, in the form `kernel.r_references` returns;
-    hits holds the i, ascending, with images[i] < images[p]. Given a
-    separator, each item carries the images joined by it in place of the
-    tuple. K and the references are checked before the first item: each
-    pair needs 0 <= p < i <= n - 1, and no i may repeat.
+    hits holds the i, ascending, with images[i] < images[p]. K and the
+    references are checked before the first item: each pair needs
+    0 <= p < i <= n - 1, and no i may repeat.
 
     >>> list(minimal_coset_rep_images(SimpleSubset(3, (1,)), [(2, 0)]))
     [((1, 2, 3), 0, ()), ((1, 3, 2), 1, ()), ((2, 3, 1), 2, (2,))]
-    >>> [text for text, _, _ in minimal_coset_rep_images(SimpleSubset(3, (1,)), separator="-")]
-    ['1-2-3', '1-3-2', '2-3-1']
     """
     require_special(k)
     references = tuple(references)
@@ -299,7 +299,7 @@ def minimal_coset_rep_images(
         if i in compared:
             raise ValueError(f"index {i} has two references")
         compared.add(i)
-    return _coset_rep_search(k.n, k.members, references, separator)
+    return _coset_rep_search(k.n, k.members, references, None)
 
 
 def _coset_rep_search(
@@ -311,15 +311,31 @@ def _coset_rep_search(
     suffixes: dict | None = None,
 ) -> Iterator[CosetRep]:
     """The items of minimal_coset_rep_images, the references taken as
-    valid. Given a separator, each text starts with root. suffixes maps
-    each set of values a leaf places to the texts (or, with no separator,
-    the tuples) of its orders; it does not depend on K, so the searches of
-    one listing, with one rank and one separator, may share it."""
-    # ascent[p]: position p is in K, so w(p+1) must exceed w(p)
-    ascent = [False] * (n + 1)
+    valid. Given a separator, each item carries the images joined by it
+    after root in place of the tuple. suffixes maps each set of values a
+    leaf places to the tuples (or texts) of its orders; it does not depend
+    on K, so searches with one rank and one separator may share it.
+
+    >>> [text for text, _, _ in _coset_rep_search(3, (1,), (), "-", "w=")]
+    ['w=1-2-3', 'w=1-3-2', 'w=2-3-1']
+    """
+    # the earlier index each index is compared with, or None: images[i]
+    # must lie above images[below[i]], and is a hit below images[against[i]]
+    below = [None] * n
     for i in members:
-        ascent[i] = True
-    against = list(map(dict(references).get, range(n)))  # i: the index images[i] is compared with, or None
+        below[i] = i - 1
+    against = list(map(dict(references).get, range(n)))
+    # the leaves place indices q, ..., n-1 (all n when n <= 4) and compare
+    # ranks among their unplaced values, order + key: the order ranks the
+    # leaf's indices, the key the prefix entries read, j's at where[j]
+    q = max(n - 4, 0)
+    read = sorted({j for j in below[q:] + against[q:] if j is not None and j < q})
+    where = dict(zip([*range(q, n), *read], range(n)))
+    k_pairs, comparisons = (
+        tuple((i, where[i], where[j]) for i, j in enumerate(earlier[q:], q) if j is not None)
+        for earlier in (below, against)
+    )
+    tables = _leaf_tables(n - q, k_pairs, comparisons)
     # text: the images joined by separator, one concatenation per placed
     # value; pieces[p][value] is what placing value at index p appends. With
     # no separator every piece is "", which concatenates for free
@@ -328,54 +344,9 @@ def _coset_rep_search(
     else:
         firsts = list(map(str, range(n + 1)))
         inner = [separator + value for value in firsts]
-    pieces = [firsts] + [inner] * (n - 1)
-    # the leaves place the last indices q, ..., n-1 together, all n of them
-    # when n <= 4: the orders K allows inside the leaf, as ranks among the
-    # unplaced values, with their inversions
-    q = max(n - 4, 0)
-    size = n - q
-    rises = [t for t in range(1, size) if ascent[q + t]]
-    orders = _leaf_orders(size)
-    allowed = [
-        (index, order, inversions)
-        for index, (order, inversions, _) in enumerate(orders)
-        if all(order[t - 1] < order[t] for t in rises)
-    ]
-    # a leaf's key: the ranks among the unplaced values of the prefix
-    # entries it reads, the floor (index q-1, when q is in K) and each one
-    # a leaf index is compared with. Each comparison is (index, t, s): a hit
-    # when ranks[t] < ranks[s], ranks the order followed by the key
-    read = sorted({j for j in against[q:] if j is not None and j < q} | ({q - 1} if ascent[q] else set()))
-    comparisons = [
-        (q + t, t, j - q if j >= q else size + read.index(j))
-        for t, j in enumerate(against[q:])
-        if j is not None
-    ]
-
-    def leaf_rows(key: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...]]]:
-        """(order's index, inversions, the leaf's hits) for each allowed
-        order whose first value lies above the floor."""
-        floor = key[read.index(q - 1)] if ascent[q] else 0
-        rows = []
-        for index, order, inversions in allowed:
-            if order[0] >= floor:
-                ranks = order + key
-                leaf_hits = tuple([i for i, t, s in comparisons if ranks[t] < ranks[s]])
-                rows.append((index, inversions, leaf_hits))
-        return rows
-
-    def leaf_suffixes(unplaced: tuple[int, ...]) -> list:
-        """Each order of the unplaced values, as a tuple or as the text the
-        leaf appends."""
-        if separator is None:
-            return [pick(unplaced) for _, _, pick in orders]
-        texts = tuple(map(firsts.__getitem__, unplaced))
         lead = separator if q else ""
-        return [lead + separator.join(pick(texts)) for _, _, pick in orders]
-
-    tables: dict[tuple[int, ...], list] = {}
-    if suffixes is None:
-        suffixes = {}
+    pieces = [firsts] + [inner] * (n - 1)
+    suffixes = {} if suffixes is None else suffixes
     # (prefix, text, unplaced values in increasing order, inversions so far,
     # hits so far); children are pushed largest value first so the smallest
     # pops first
@@ -388,17 +359,19 @@ def _coset_rep_search(
             key = tuple([bisect(unplaced, prefix[j]) for j in read])
             rows = tables.get(key)
             if rows is None:
-                rows = tables[key] = leaf_rows(key)
+                rows = tables[key] = _leaf_rows(n - q, k_pairs, comparisons, key)
             ends = suffixes.get(unplaced)
             if ends is None:
-                ends = suffixes[unplaced] = leaf_suffixes(unplaced)
+                orders = permutations(unplaced if separator is None else map(firsts.__getitem__, unplaced))
+                ends = list(orders) if separator is None else [lead + separator.join(o) for o in orders]
+                suffixes[unplaced] = ends
             if separator is None:
                 text = prefix
             for index, inversions, leaf_hits in rows:
                 yield text + ends[index], length + inversions, hits + leaf_hits
             continue
-        floor = prefix[-1] if ascent[p] else 0
-        # a value placed at index p is a hit when below top
+        # a value placed at index p must exceed floor, and is a hit under top
+        floor = 0 if (j := below[p]) is None else prefix[j]
         top = 0 if (j := against[p]) is None else prefix[j]
         level = pieces[p]
         for idx in range(len(unplaced) - 1, -1, -1):
@@ -409,17 +382,25 @@ def _coset_rep_search(
                 push((prefix + (value,), text + level[value], rest, length + idx, hit))
 
 
-@lru_cache(maxsize=None)
-def _leaf_orders(size: int) -> tuple[tuple[tuple[int, ...], int, Callable], ...]:
-    """(order, inversions, pick) for each order of size values given as
-    their ranks, in lexicographic order; pick(values) is the values in
-    that order, as a tuple. Kept for each size a leaf has, 1 to 4."""
-    return tuple(
-        # a one-item itemgetter returns the item itself; the one order of
-        # one value is the identity
-        (order, sum(a > b for a, b in combinations(order, 2)), itemgetter(*order) if size > 1 else tuple)
-        for order in permutations(range(size))
-    )
+@lru_cache(maxsize=64)
+def _leaf_tables(size: int, k_pairs: tuple, comparisons: tuple) -> dict:
+    """{key: _leaf_rows(...)} for one leaf pattern, filled as searches meet
+    each key; the 64 patterns used last are kept."""
+    return {}
+
+
+def _leaf_rows(size: int, k_pairs: tuple, comparisons: tuple, key: tuple[int, ...]) -> list:
+    """(index, inversions, hits) for each order of size ranks, counted
+    lexicographically by index, that no K pair refuses. Each pair (i, t, s)
+    asks ranks[t] < ranks[s] of ranks = order + key: a K pair so refuses
+    the order, and a comparison makes i a hit."""
+    rows = []
+    for index, order in enumerate(permutations(range(size))):
+        ranks = order + key
+        if not any(ranks[t] < ranks[s] for _, t, s in k_pairs):
+            hits = tuple([i for i, t, s in comparisons if ranks[t] < ranks[s]])
+            rows.append((index, sum(starmap(gt, combinations(order, 2))), hits))
+    return rows
 
 
 def minimal_coset_reps(k: SimpleSubset) -> Iterator[Permutation]:

@@ -33,6 +33,9 @@ class Permutation:
         n = len(images)
         if n == 0:
             raise ValueError("a permutation needs rank at least 1")
+        for value in images:
+            if type(value) is not int:  # a bool or a float equal to an int is refused
+                raise ValueError(f"image {value!r} is not an int")
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of [{n}]: {images!r}")
         self.images = images

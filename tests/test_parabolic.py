@@ -3,15 +3,17 @@ import math
 import operator
 import sys
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
+from quadrics import parabolic
 from quadrics.kernel import r_references
 from quadrics.parabolic import (
     NotSpecialError,
     SimpleSubset,
     _coset_rep_search,
+    _leaf_tables,
     _lex_chains,
     _special_members,
     enumerate_special,
@@ -180,6 +182,22 @@ def test_trusted_subset_equals_the_checked_one():
                 assert k == checked_k and k.is_special() == checked_k.is_special()
 
 
+@pytest.mark.parametrize(
+    "n, members, message",
+    [
+        (4, [1.5], r"member 1\.5 is not an int"),
+        (4, [1.0, 3], r"member 1\.0 is not an int"),
+        (4.0, (), r"rank 4\.0 is not an int"),
+        (4, [True], "member True is not an int"),
+    ],
+)
+def test_subset_refuses_non_integers(n, members, message):
+    # each was accepted: {1.5} counted 4! coset reps, as if K were empty,
+    # and {1.0,3} printed but raised TypeError in .mask
+    with pytest.raises(ValueError, match=message):
+        SimpleSubset(n, members)
+
+
 def test_longest_element():
     assert longest_element(SimpleSubset(3, ())) == identity(3)
     assert longest_element(SimpleSubset(3, (1,))) == Permutation((2, 1, 3))
@@ -293,7 +311,7 @@ def test_search_text_is_the_joined_images():
             for references in cases:
                 images, *rest = zip(*minimal_coset_rep_images(k, references))
                 for separator in "", "-", ",\n        ":
-                    texts, *text_rest = zip(*minimal_coset_rep_images(k, references, separator))
+                    texts, *text_rest = zip(*_coset_rep_search(n, k.members, references, separator))
                     assert text_rest == rest, (k, references, separator)
                     joined = [separator.join(map(names.__getitem__, w)) for w in images]
                     assert list(texts) == joined, (k, references)
@@ -341,6 +359,56 @@ def test_search_equals_the_three_value_leaf_oracle(n):
         assert all(itertools.starmap(operator.eq, itertools.zip_longest(generated, expected))), (
             k, references, separator,
         )
+
+
+def leaf_table_builds(monkeypatch, n, ks, kinds):
+    """The arguments of each leaf table built while the search runs at rank
+    n over each K of ks with each reference list of kinds(K), read off
+    `parabolic._leaf_rows`, which builds one table per call. The memo of
+    patterns is held to its bound after every search."""
+    built = []
+    build = parabolic._leaf_rows
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(parabolic, "_leaf_rows", counted)
+    for k in ks:
+        for references in kinds(k):
+            deque(_coset_rep_search(n, k.members, references, None), maxlen=0)
+            info = _leaf_tables.cache_info()
+            assert info.currsize <= info.maxsize, info
+    return built
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_leaf_tables_are_built_once_per_pattern(monkeypatch, n):
+    # the references the package passes, kernel.r_references for the
+    # listings and (i, i-1) for the descent check, over every special K:
+    # tables built per K numbered 130 at n = 6 and 340 at n = 8, while the
+    # 15 leaf patterns of every rank n >= 5 hold 75 keys
+    adjacent = [(i, i - 1) for i in range(1, n)]
+    _leaf_tables.cache_clear()
+    built = leaf_table_builds(monkeypatch, n, enumerate_special(n), lambda k: [r_references(n, k.members), adjacent])
+    assert len(built) == len(set(built)) == 75
+    assert len({args[:3] for args in built}) == _leaf_tables.cache_info().misses == 15
+
+
+def test_leaf_tables_stay_within_their_bound(monkeypatch):
+    # every list of earlier_reference_cases at n = 5..9, the memo kept from
+    # rank to rank: 210 patterns pass through its 64 places. No table is
+    # built twice, and the count stops growing with the number of K (21 at
+    # n = 7, 34 at n = 8); at n = 9 the K of four members keep it short
+    _leaf_tables.cache_clear()
+    counts = []
+    for n in range(5, 10):
+        ks = [k for k in enumerate_special(n) if n <= 8 or len(k) == 4]
+        built = leaf_table_builds(monkeypatch, n, ks, lambda k: earlier_reference_cases(n))
+        assert len(built) == len(set(built)), n
+        counts.append(len(built))
+    assert _leaf_tables.cache_info().misses > _leaf_tables.cache_info().maxsize
+    assert counts[2] == counts[3] >= counts[4], counts
 
 
 @pytest.mark.parametrize(

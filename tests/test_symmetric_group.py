@@ -35,6 +35,13 @@ def test_constructor_rejects_non_bijections():
         Permutation(())
 
 
+@pytest.mark.parametrize("images, message", [((1.0, 2), r"image 1\.0 is not an int"), ((2, True), "image True")])
+def test_constructor_refuses_non_integers(images, message):
+    # (1.0, 2) was accepted and printed as 1.02
+    with pytest.raises(ValueError, match=message):
+        Permutation(images)
+
+
 def test_length_examples():
     assert identity(5).length == 0
     assert Permutation((3, 2, 1)).length == 3
