@@ -22,33 +22,34 @@ which skips the checks the walk already guarantees (increasing, in range)
 and takes the walk's specialness as given.
 
 W^K is generated directly, never by filtering S_n: a depth-first search
-fills the one-line images left to right in increasing order of value. K
-and the given pairs (i, p) are read one way, each index compared with an
-earlier one: images[i] must exceed images[i-1] for i in K, and i is a hit
-when images[i] < images[p]. The search carries ell(w) as the sum of the
-Lehmer-code digits, the index of each chosen value among those still
-unplaced, and the hits, each decided as its index is placed. Each leaf
-places the last four values at once (all n of them when n <= 4) from a
-table per pattern (its size and comparisons) and key (the ranks, among
-its unplaced values, of the prefix entries it reads): each order K allows,
-with its inversions and hits. Tables are built on first use and kept for
-the 64 patterns used last, so the searches of a process share them. The
-leaf's images are read off a memo of suffixes, each order of each set of
-unplaced values as a tuple or as text; it does not depend on K, so a
-listing shares it across its K and holds at most n!/(n-4)! suffixes.
-Given a separator, the search carries the images as text, joined by it
-after a root text, one concatenation per placed value: `cells` builds its
-listing rows from it, with head(K) as the root, and with the pairs
-(i, i-1) the hits are the right descents the descent check reads. It
-keeps at most n(n-1)/2 partial permutations pending.
+fills the one-line images left to right in increasing order of value,
+choosing at each index its Lehmer digit, the index of its value among
+those still unplaced. Every test compares digits, and ell(w) is their
+sum: i in K needs digit[i] >= digit[i-1], so each node's children start
+at that floor, and a reference (i, p) hits, images[i] < images[p], when
+digit[i] < digit[p]. This holds for the two forms of reference
+`kernel.r_references` returns, p = i-1 and p = i-2 with i-1 in K, where
+every entry between p and i lies above images[p]; any other is refused.
+Each leaf places the last four values at once (all n of them when n <= 4)
+from a table per pattern (its size and comparisons) and key (the digits
+of the prefix entries it reads): each order K allows, with its digit sum
+and hits. Tables are built on first use and kept for the 64 patterns used
+last, so the searches of a process share them. The leaf's images are read
+off a memo of suffixes, each order of each set of unplaced values as a
+tuple or as text; it does not depend on K, so a listing shares it across
+its K and holds at most n!/(n-4)! suffixes. The images are carried as a
+tuple or, given a separator, as text joined by it after a root text, one
+concatenation per placed value: `cells` builds its listing rows from it,
+with head(K) as the root, and with the pairs (i, i-1) the hits are the
+right descents the descent check reads. It keeps at most n(n-1)/2 partial
+permutations pending.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from functools import lru_cache
-from itertools import accumulate, combinations, permutations, starmap
-from operator import gt, sub
+from itertools import accumulate, permutations, product
+from operator import sub
 from typing import Iterable, Iterator
 
 from quadrics.symmetric_group import Permutation
@@ -143,7 +144,7 @@ class SimpleSubset:
         return len(self.members)
 
     def __contains__(self, i: int) -> bool:
-        return i in self.members
+        return type(i) is int and i in self.members
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -281,11 +282,12 @@ CosetRep = tuple[tuple[int, ...] | str, int, tuple[int, ...]]
 
 def minimal_coset_rep_images(k: SimpleSubset, references: Iterable[tuple[int, int]] = ()) -> Iterator[CosetRep]:
     """(w.images, ell(w), hits) for each w in W^K, in lexicographic one-line
-    order, generated one at a time. references holds (i, p) pairs with
-    p < i, each i at most once, in the form `kernel.r_references` returns;
+    order, generated one at a time. references holds (i, p) pairs, each i
+    at most once, of two forms: p = i - 1, or p = i - 2 with i - 1 in K
+    (the descent check passes the first, `kernel.r_references` both);
     hits holds the i, ascending, with images[i] < images[p]. K and the
-    references are checked before the first item: each pair needs
-    0 <= p < i <= n - 1, and no i may repeat.
+    references are checked before the first item: each pair needs ints
+    with 1 <= i <= n - 1 in one of the two forms, and no i may repeat.
 
     >>> list(minimal_coset_rep_images(SimpleSubset(3, (1,)), [(2, 0)]))
     [((1, 2, 3), 0, ()), ((1, 3, 2), 1, ()), ((2, 3, 1), 2, (2,))]
@@ -294,8 +296,11 @@ def minimal_coset_rep_images(k: SimpleSubset, references: Iterable[tuple[int, in
     references = tuple(references)
     compared = set()
     for i, p in references:
-        if not 0 <= p < i <= k.n - 1:
-            raise ValueError(f"reference ({i}, {p}) needs 0 <= p < i <= {k.n - 1}")
+        # type, not isinstance: a bool or a float equal to an int is refused
+        if type(i) is not int or type(p) is not int:
+            raise ValueError(f"reference ({i!r}, {p!r}) is not a pair of ints")
+        if not (0 < i < k.n and (p == i - 1 or p == i - 2 and i - 1 in k)):
+            raise ValueError(f"reference ({i}, {p}) needs 1 <= i <= {k.n - 1} and p = i - 1, or i - 2 with i - 1 in K")
         if i in compared:
             raise ValueError(f"index {i} has two references")
         compared.add(i)
@@ -310,24 +315,24 @@ def _coset_rep_search(
     root: str = "",
     suffixes: dict | None = None,
 ) -> Iterator[CosetRep]:
-    """The items of minimal_coset_rep_images, the references taken as
-    valid. Given a separator, each item carries the images joined by it
-    after root in place of the tuple. suffixes maps each set of values a
-    leaf places to the tuples (or texts) of its orders; it does not depend
-    on K, so searches with one rank and one separator may share it.
+    """The items of minimal_coset_rep_images, the references taken as valid
+    (another form gives wrong hits). Given a separator, each item carries
+    the images joined by it after root in place of the tuple. suffixes maps
+    each set of values a leaf places to the tuples (or texts) of its
+    orders; searches with one rank and one separator may share it.
 
     >>> [text for text, _, _ in _coset_rep_search(3, (1,), (), "-", "w=")]
     ['w=1-2-3', 'w=1-3-2', 'w=2-3-1']
     """
-    # the earlier index each index is compared with, or None: images[i]
-    # must lie above images[below[i]], and is a hit below images[against[i]]
+    # the earlier index each index is compared with, or None: digit[i] must
+    # be at least digit[below[i]], and is a hit below digit[against[i]]
     below = [None] * n
     for i in members:
         below[i] = i - 1
     against = list(map(dict(references).get, range(n)))
     # the leaves place indices q, ..., n-1 (all n when n <= 4) and compare
-    # ranks among their unplaced values, order + key: the order ranks the
-    # leaf's indices, the key the prefix entries read, j's at where[j]
+    # digits, order + key: the order's for the leaf's indices, the key's for
+    # the prefix entries read, j's at where[j]
     q = max(n - 4, 0)
     read = sorted({j for j in below[q:] + against[q:] if j is not None and j < q})
     where = dict(zip([*range(q, n), *read], range(n)))
@@ -336,27 +341,28 @@ def _coset_rep_search(
         for earlier in (below, against)
     )
     tables = _leaf_tables(n - q, k_pairs, comparisons)
-    # text: the images joined by separator, one concatenation per placed
-    # value; pieces[p][value] is what placing value at index p appends. With
-    # no separator every piece is "", which concatenates for free
+    # the images, one concatenation per placed value: pieces[p][value] is
+    # what placing value at index p appends, a one-value tuple or the text
+    # of value after separator (none before the first)
     if separator is None:
-        firsts = inner = [""] * (n + 1)
+        firsts = inner = [(value,) for value in range(n + 1)]
+        root = ()
     else:
         firsts = list(map(str, range(n + 1)))
         inner = [separator + value for value in firsts]
         lead = separator if q else ""
     pieces = [firsts] + [inner] * (n - 1)
     suffixes = {} if suffixes is None else suffixes
-    # (prefix, text, unplaced values in increasing order, inversions so far,
-    # hits so far); children are pushed largest value first so the smallest
-    # pops first
+    # (digits so far, images so far, unplaced values in increasing order,
+    # ell so far, hits so far); children are pushed largest digit first so
+    # the smallest pops first
     stack = [((), root, tuple(range(1, n + 1)), 0, ())]
     pop, push = stack.pop, stack.append
     while stack:
-        prefix, text, unplaced, length, hits = pop()
-        p = len(prefix)
+        digits, images, unplaced, length, hits = pop()
+        p = len(digits)
         if p == q:
-            key = tuple([bisect(unplaced, prefix[j]) for j in read])
+            key = tuple([digits[j] for j in read])
             rows = tables.get(key)
             if rows is None:
                 rows = tables[key] = _leaf_rows(n - q, k_pairs, comparisons, key)
@@ -365,21 +371,17 @@ def _coset_rep_search(
                 orders = permutations(unplaced if separator is None else map(firsts.__getitem__, unplaced))
                 ends = list(orders) if separator is None else [lead + separator.join(o) for o in orders]
                 suffixes[unplaced] = ends
-            if separator is None:
-                text = prefix
             for index, inversions, leaf_hits in rows:
-                yield text + ends[index], length + inversions, hits + leaf_hits
+                yield images + ends[index], length + inversions, hits + leaf_hits
             continue
-        # a value placed at index p must exceed floor, and is a hit under top
-        floor = 0 if (j := below[p]) is None else prefix[j]
-        top = 0 if (j := against[p]) is None else prefix[j]
+        # the digit at index p is at least floor, and a hit under top
+        floor = 0 if (j := below[p]) is None else digits[j]
+        top = 0 if (j := against[p]) is None else digits[j]
         level = pieces[p]
-        for idx in range(len(unplaced) - 1, -1, -1):
-            value = unplaced[idx]
-            if value > floor:
-                hit = hits + (p,) if value < top else hits
-                rest = unplaced[:idx] + unplaced[idx + 1 :]
-                push((prefix + (value,), text + level[value], rest, length + idx, hit))
+        for idx in range(len(unplaced) - 1, floor - 1, -1):
+            hit = hits + (p,) if idx < top else hits
+            rest = unplaced[:idx] + unplaced[idx + 1 :]
+            push((digits + (idx,), images + level[unplaced[idx]], rest, length + idx, hit))
 
 
 @lru_cache(maxsize=64)
@@ -390,16 +392,17 @@ def _leaf_tables(size: int, k_pairs: tuple, comparisons: tuple) -> dict:
 
 
 def _leaf_rows(size: int, k_pairs: tuple, comparisons: tuple, key: tuple[int, ...]) -> list:
-    """(index, inversions, hits) for each order of size ranks, counted
-    lexicographically by index, that no K pair refuses. Each pair (i, t, s)
-    asks ranks[t] < ranks[s] of ranks = order + key: a K pair so refuses
-    the order, and a comparison makes i a hit."""
+    """(index, inversions, hits) for each order of size values, given by
+    its Lehmer digits (product lists them lexicographically, as the index
+    counts) and not refused by a K pair; its inversions are their sum. Each
+    pair (i, t, s) asks digits[t] < digits[s] of digits = order + key: a K
+    pair so refuses the order, and a comparison makes i a hit."""
     rows = []
-    for index, order in enumerate(permutations(range(size))):
-        ranks = order + key
-        if not any(ranks[t] < ranks[s] for _, t, s in k_pairs):
-            hits = tuple([i for i, t, s in comparisons if ranks[t] < ranks[s]])
-            rows.append((index, sum(starmap(gt, combinations(order, 2))), hits))
+    for index, order in enumerate(product(*map(range, range(size, 0, -1)))):
+        digits = order + key
+        if not any(digits[t] < digits[s] for _, t, s in k_pairs):
+            hits = tuple([i for i, t, s in comparisons if digits[t] < digits[s]])
+            rows.append((index, sum(order), hits))
     return rows
 
 

@@ -52,6 +52,8 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, i: int) -> int:
+        if type(i) is not int:  # a bool or a float equal to an int is refused
+            raise ValueError(f"index {i!r} is not an int")
         if not 1 <= i <= self.n:
             raise ValueError(f"index {i} out of range [1, {self.n}]")
         return self.images[i - 1]

@@ -9,11 +9,12 @@ Nothing under src/ imports this file.
   `Permutation.right_descents` position by position.
 * comparison_hits, the comparisons of one finished row, checks the hits
   the W^K search decides as it places each position.
-  three_value_leaf_search is that search as it was when each leaf placed
-  the last three values one at a time; it checks the four-value leaves
-  of `parabolic._coset_rep_search`, which read their orders, inversions
-  and hits off tables shared by leaf pattern and key, and their text off
-  a memo of suffixes, item for item.
+  three_value_leaf_search is that search as it was when it compared
+  values and each leaf placed the last three of them one at a time; it
+  checks `parabolic._coset_rep_search`, which compares Lehmer digits and
+  whose four-value leaves read their orders, digit sums and hits off
+  tables shared by leaf pattern and key, and their text off a memo of
+  suffixes, item for item.
 * parabolic_subgroup (W_K from its commuting generators) checks
   `parabolic.minimal_coset_reps` by the unique length-additive
   factorization w = u x, u in W^K, x in W_K.

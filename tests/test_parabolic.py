@@ -1,6 +1,8 @@
 import itertools
 import math
 import operator
+import random
+import re
 import sys
 import tracemalloc
 from collections import Counter, deque
@@ -198,6 +200,13 @@ def test_subset_refuses_non_integers(n, members, message):
         SimpleSubset(n, members)
 
 
+def test_membership_is_false_for_non_integers():
+    # 1.0 and True were members of {1}, as equal to 1
+    subset = SimpleSubset(4, (1,))
+    assert 1 in subset and 2 not in subset
+    assert 1.0 not in subset and True not in subset
+
+
 def test_longest_element():
     assert longest_element(SimpleSubset(3, ())) == identity(3)
     assert longest_element(SimpleSubset(3, (1,))) == Permutation((2, 1, 3))
@@ -282,21 +291,61 @@ def test_search_hits_match_the_comparisons_of_each_row():
                 assert hits == tuple(comparison_hits(images, references)), (k, images)
 
 
-def test_search_hits_take_any_earlier_reference():
-    # pairs beyond the form r_references returns: any p < i, the last three
-    # indices included, which the search places together, and in any order
+def in_form(k, i, p):
+    """Whether (i, p) is a reference of one of the two forms the search
+    reads off Lehmer digits: p = i - 1, or p = i - 2 with i - 1 in K."""
+    return p == i - 1 or p == i - 2 and i - 1 in k.members
+
+
+def test_search_refuses_out_of_form_references():
+    # pairs beyond the two forms, any p < i, the last three indices
+    # included, and in any order: a list holding one is refused before the
+    # first item, naming its first such pair, and a list of the two forms
+    # alone gives the comparisons of each row
     n = 5
     for k in enumerate_special(n):
         for references in earlier_reference_cases(n):
+            wrong = [(i, p) for i, p in references if not in_form(k, i, p)]
+            if wrong:
+                with pytest.raises(ValueError, match=re.escape(f"reference {wrong[0]} needs")):
+                    minimal_coset_rep_images(k, references)
+                continue
             for images, _, hits in minimal_coset_rep_images(k, references):
                 expected = sorted(comparison_hits(images, references))
                 assert list(hits) == expected, (k, references, images)
 
 
 def earlier_reference_cases(n):
-    """The reference lists of test_search_hits_take_any_earlier_reference."""
+    """Reference lists of pairs (i, p) with p < i, most holding a pair of
+    neither form the search reads."""
     cases = [[(i, 0) for i in range(1, n)], [(i, i - 1) for i in reversed(range(1, n))]]
     return cases + [[(n - 1, p), (n - 2, p - 1)] for p in range(1, n - 1)]
+
+
+def valid_reference_cases(n, k, count=6):
+    """count reference lists of the two forms at rank n for K, drawn from a
+    generator seeded by (n, K): each i in [1, n - 1] takes no pair, (i, i - 1)
+    or, when i - 1 is in K, (i, i - 2), and the pairs are shuffled."""
+    rng = random.Random(n << 32 | k.mask)
+    cases = []
+    for _ in range(count):
+        pairs = []
+        for i in range(1, n):
+            forms = [None, (i, i - 1)] + ([(i, i - 2)] if i - 1 in k else [])
+            if (pair := rng.choice(forms)) is not None:
+                pairs.append(pair)
+        rng.shuffle(pairs)
+        cases.append(pairs)
+    return cases
+
+
+def test_r_references_take_the_two_forms():
+    # the search reads only these forms, and the listings pass r_references
+    for n in range(1, 13):
+        for k in enumerate_special(n):
+            references = r_references(n, k.members)
+            assert [i for i, _ in references] == list(k.complement()), k
+            assert all(in_form(k, i, p) for i, p in references), (k, references)
 
 
 def test_search_text_is_the_joined_images():
@@ -307,7 +356,7 @@ def test_search_text_is_the_joined_images():
         for k in enumerate_special(n):
             cases = [(), r_references(n, k.members)]
             if n == 5:
-                cases += earlier_reference_cases(n)
+                cases += valid_reference_cases(n, k)
             for references in cases:
                 images, *rest = zip(*minimal_coset_rep_images(k, references))
                 for separator in "", "-", ",\n        ":
@@ -333,12 +382,14 @@ SEPARATORS = (None, "", "-", ",\n        ")
 def oracle_cases(n):
     """(K, references, separator) compared with the three-value-leaf
     oracle at rank n: every special K up to n = 8, and K = {} and
-    {1, 3, 5, 7} at n = 9. Every reference kind meets every separator up
-    to n = 7; past it each kind meets one separator in turn, and at n = 9
-    the kinds are the four the package and its tests use most."""
+    {1, 3, 5, 7} at n = 9. The references are none, r_references, the
+    adjacent pairs and seeded lists of the two forms. Every reference kind
+    meets every separator up to n = 7; past it each kind meets one
+    separator in turn, and at n = 9 the kinds are the three the package
+    and its tests use most and one seeded list."""
     ks = enumerate_special(n) if n <= 8 else [SimpleSubset(n, ()), SimpleSubset(n, (1, 3, 5, 7))]
     for k in ks:
-        kinds = [(), r_references(n, k.members), [(i, i - 1) for i in range(1, n)], *earlier_reference_cases(n)]
+        kinds = [(), r_references(n, k.members), [(i, i - 1) for i in range(1, n)], *valid_reference_cases(n, k)]
         if n == 9:
             kinds = kinds[:4]
         for index, references in enumerate(kinds):
@@ -396,33 +447,33 @@ def test_leaf_tables_are_built_once_per_pattern(monkeypatch, n):
 
 
 def test_leaf_tables_stay_within_their_bound(monkeypatch):
-    # every list of earlier_reference_cases at n = 5..9, the memo kept from
-    # rank to rank: 210 patterns pass through its 64 places. No table is
-    # built twice, and the count stops growing with the number of K (21 at
-    # n = 7, 34 at n = 8); at n = 9 the K of four members keep it short
+    # the seeded lists of the two forms over every special K at n = 5..7,
+    # the memo kept from rank to rank: 192 patterns (41, 62 and 89 of the
+    # 188 the two forms allow at each rank) pass through its 64 places, and
+    # no table is built twice
     _leaf_tables.cache_clear()
-    counts = []
-    for n in range(5, 10):
-        ks = [k for k in enumerate_special(n) if n <= 8 or len(k) == 4]
-        built = leaf_table_builds(monkeypatch, n, ks, lambda k: earlier_reference_cases(n))
+    for n in range(5, 8):
+        built = leaf_table_builds(monkeypatch, n, enumerate_special(n), lambda k: valid_reference_cases(n, k))
         assert len(built) == len(set(built)), n
-        counts.append(len(built))
-    assert _leaf_tables.cache_info().misses > _leaf_tables.cache_info().maxsize
-    assert counts[2] == counts[3] >= counts[4], counts
+    info = _leaf_tables.cache_info()
+    assert info.misses == 192 > info.maxsize, info
 
 
 @pytest.mark.parametrize(
     "n, references, message",
     [
-        (5, [(2, 3)], r"reference \(2, 3\) needs 0 <= p < i <= 4"),
-        (5, [(2, 0), (2, 1)], "index 2 has two references"),
-        (5, [(7, 0)], r"reference \(7, 0\) needs 0 <= p < i <= 4"),
-        (5, [(1, -1)], r"reference \(1, -1\)"),
+        (5, [(2, 3)], r"reference \(2, 3\) needs 1 <= i <= 4 and p = i - 1, or i - 2 with i - 1 in K"),
+        (5, [(2, 1), (2, 1)], "index 2 has two references"),
+        (5, [(7, 0)], r"reference \(7, 0\) needs 1 <= i <= 4"),
+        (5, [(1, -1)], r"reference \(1, -1\) needs"),
+        (5, [(3, 1)], r"reference \(3, 1\) needs"),
+        (5, [(2.0, 1.0)], r"reference \(2\.0, 1\.0\) is not a pair of ints"),
+        (5, [(True, False)], r"reference \(True, False\) is not a pair of ints"),
     ],
 )
 def test_bad_references_are_refused_before_the_first_item(n, references, message):
-    # each used to pass the call: the first raised IndexError only once an
-    # item was drawn, the second kept its last pair, the third was ignored
+    # K = {}: (3, 1) is of neither form, as 2 is not in K; (2.0, 1.0) and
+    # (True, False) were taken as (2, 1) and (1, 0)
     with pytest.raises(ValueError, match=message):
         minimal_coset_rep_images(SimpleSubset(n, ()), iter(references))
 

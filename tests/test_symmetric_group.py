@@ -42,6 +42,15 @@ def test_constructor_refuses_non_integers(images, message):
         Permutation(images)
 
 
+@pytest.mark.parametrize("index, message", [(1.0, r"index 1\.0 is not an int"), (True, "index True is not an int")])
+def test_call_refuses_non_integers(index, message):
+    # w(1.0) raised TypeError from the tuple index, and w(True) returned w(1)
+    w = Permutation((2, 1))
+    assert w(1) == 2
+    with pytest.raises(ValueError, match=message):
+        w(index)
+
+
 def test_length_examples():
     assert identity(5).length == 0
     assert Permutation((3, 2, 1)).length == 3
