@@ -16,12 +16,14 @@ comparing that sum with the closed product form is the generalized
 Kostant-Macdonald identity this package verifies.
 
 `r_set` is that weight-vector definition of R_K(w); the descent check
-evaluates R through it once per (K, w), against the descents the W^K
-search reads off its comparisons of each index with the one before, and
-so do the tests, which also build the cell dimensions from it one (K, w)
-at a time. The cell sums and the fixed-point listings use the equivalent
-local comparison of `quadrics.kernel` instead, with `r_set` as its test
-oracle. Each cell sum is one call of `kernel.cell_census`, which folds
+evaluates R through it once per (K, w), against the R_K(w) the W^K
+search reads by the local rule of `parabolic.r_references`, whose
+comparisons on I - K are right descents, and so do the tests, which also
+build the cell dimensions from it one (K, w) at a time. The cell sums
+and the fixed-point listings use the equivalent local rule instead, with
+`r_set` as its test oracle: the listings through the search, the sums
+through the census of `quadrics.kernel`, which encodes it on its own.
+Each cell sum is one call of `kernel.cell_census`, which folds
 the choice of K into its DP: one orbit K is the interval K <= K <= K,
 the subvariety indexed by I is {} <= K <= I, and the full variety lets
 every special K in. The closed forms the sums are compared with are built
@@ -35,7 +37,7 @@ Fibonacci numbers):
 - `_pairing_supports`, per special K given to `r_set`: n - |K| short
   tuples;
 - `_r_and_descents`, per special K of the descent check: the distinct
-  (R_K(w), descents of w) pairs, at most |W^K| of them.
+  (R_K(w) by r_set, R_K(w) by the search) pairs, at most |W^K| of them.
 The fixed-K censuses of the per-orbit closed-form check are never asked
 for twice and are not kept.
 
@@ -45,9 +47,8 @@ separator and two formatters, head(K) and tail(R, dim_x, dim_xi). Each
 row is one concatenation: the text the depth-first search yields, which
 starts with head(K) (formatted once per K and given as the search's
 root) and joins the images with the separator; and the tail. The search
-carries ell(w) and, as its hits against the references of
-`kernel.r_references` (listed once per K), R_K(w). Each listing keeps two
-memos, both dropped when it ends:
+carries ell(w) and R_K(w). Each listing keeps two memos, both dropped
+when it ends:
 - the search's suffixes, the text of every order of each set of four
   values its leaves place, shared by the searches of all its K: at most
   n!/(n-4)! strings (1,680 at n = 8), however large W^K is;
@@ -65,7 +66,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from quadrics.kernel import cell_census, r_references
+from quadrics.kernel import cell_census
 from quadrics.parabolic import (
     SimpleSubset,
     _coset_rep_search,
@@ -205,9 +206,12 @@ def descent_characterization_check(k: SimpleSubset, i_set: SimpleSubset) -> bool
     """s_{K,I}(w) = |{i in I - K : ell(w s_i) < ell(w)}| for every w in W^K.
 
     The left side goes through the weight-vector definition r_set, the
-    right side through plain descent counting; agreeing on all of W^K ties
-    the sign convention to descents. Both sides are read from the distinct
-    (R_K(w), descents of w) pairs over W^K, computed once per K.
+    right side through the comparisons the W^K search makes on I - K: I is
+    special, so for i in I - K, i - 1 lies outside I and so outside K, and
+    the search compares w(i+1) with w(i) there, a hit exactly when i is a
+    right descent of w. Agreeing on all of W^K ties the sign convention to
+    descents. Both sides are read from the distinct pairs (R_K(w) by
+    r_set, R_K(w) by the search) over W^K, computed once per K.
     """
     require_special(i_set)
     if not k.issubset(i_set):
@@ -221,15 +225,13 @@ def descent_characterization_check(k: SimpleSubset, i_set: SimpleSubset) -> bool
 
 @lru_cache(maxsize=None)
 def _r_and_descents(k: SimpleSubset) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """The distinct pairs (r_set(k, w), right descents of w) over w in W^K.
-    The search compares each index i with i - 1, so its hits are the i with
-    w(i) > w(i+1), 1-based: the right descents."""
+    """The distinct pairs (r_set(k, w), R) over w in W^K, R the search's
+    R_K(w): at each i outside K with i - 1 outside K, i is in R exactly
+    when w(i) > w(i+1), a right descent."""
     trusted = Permutation._trusted  # the search yields bijections only
-    adjacent = [(i, i - 1) for i in range(1, k.n)]
     return tuple(
         dict.fromkeys(
-            (r_set(k, trusted(images)), descents)
-            for images, _, descents in minimal_coset_rep_images(k, adjacent)
+            (r_set(k, trusted(images)), r) for images, _, r in minimal_coset_rep_images(k)
         )
     )
 
@@ -280,9 +282,7 @@ def _text_rows(
     suffixes: dict = {}
     for k in ks:
         size = len(k)
-        for text, length, r in _coset_rep_search(
-            k.n, k.members, r_references(k.n, k.members), separator, head(k), suffixes
-        ):
+        for text, length, r in _coset_rep_search(k.n, k.members, separator, head(k), suffixes):
             key = length + size, r
             tail_text = tails.get(key)
             if tail_text is None:
@@ -291,12 +291,12 @@ def _text_rows(
 
 
 def _records(ks: Iterable[SimpleSubset], outside: Optional[frozenset[int]]) -> list[CellRecord]:
-    """One CellRecord per w in W^K over ks in turn, with R_K(w) by the local
-    rule of `kernel` and ell(w) as carried by the search."""
+    """One CellRecord per w in W^K over ks in turn, with R_K(w) and ell(w)
+    as carried by the search."""
     return [
         CellRecord(k, Permutation(images), r, *_dims(length + len(k), r, outside))
         for k in ks
-        for images, length, r in minimal_coset_rep_images(k, r_references(k.n, k.members))
+        for images, length, r in minimal_coset_rep_images(k)
     ]
 
 

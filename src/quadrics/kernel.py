@@ -1,15 +1,12 @@
 """The cell engine: cell-dimension counts over W^K by an insertion DP.
 
-For special K and w in W^K, whether i (outside K) lies in R_K(w) is a
-local comparison: the pairing vector alpha_i + w_{0,K}(alpha_i) is
-supported on positions i-1..i+2, and since w has no descent inside K its
-leading sign after w acts is negative exactly when
+The census encodes on its own the local rule for R_K(w) that
+`parabolic.r_references` lists for the W^K search: for special K and w
+in W^K, i outside K lies in R_K(w) exactly when
 
     w(i+1) < w(i-1)  if i-1 is in K,
     w(i+1) < w(i)    otherwise.
 
-`r_references` lists the comparison each i outside K makes, once per K,
-for the fixed-point listings.
 For the census, w is built from left to right by relative rank, as in
 the inversion table behind sum_w q^ell(w) = [n]_q!: the entry at
 position p, placed with rank r among the first p entries, adds p-1-r
@@ -48,25 +45,16 @@ BACKEND = "pure-python"
 
 
 def _validate(n: int, forced: int, allowed: int, target: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    # type, not isinstance: a bool is refused
+    if type(n) is not int or n < 1:
         raise ValueError(f"rank must be a positive integer, got {n!r}")
     for mask in (forced, allowed, target):
-        if not isinstance(mask, int) or not 0 <= mask < 1 << (n - 1):
+        if type(mask) is not int or not 0 <= mask < 1 << (n - 1):
             raise ValueError(f"mask {mask!r} out of range for rank {n}")
     if forced & (forced >> 1):
         raise ValueError(f"forced mask {forced:#b} is not special")
     if forced & ~allowed:
         raise ValueError(f"forced mask {forced:#b} is not inside allowed {allowed:#b}")
-
-
-def r_references(n: int, k_members: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """(i, p) for each i outside K, where w(i+1) is compared with the
-    one-line entry images[p]: p = i-2 (w(i-1)) if i-1 is in K, else i-1
-    (w(i))."""
-    in_k = set(k_members)
-    return tuple(
-        (i, i - 2 if i - 1 in in_k else i - 1) for i in range(1, n) if i not in in_k
-    )
 
 
 def cell_census(n: int, forced: int, allowed: int, target: int) -> dict[int, int]:

@@ -26,10 +26,12 @@ fills the one-line images left to right in increasing order of value,
 choosing at each index its Lehmer digit, the index of its value among
 those still unplaced. Every test compares digits, and ell(w) is their
 sum: i in K needs digit[i] >= digit[i-1], so each node's children start
-at that floor, and a reference (i, p) hits, images[i] < images[p], when
-digit[i] < digit[p]. This holds for the two forms of reference
-`kernel.r_references` returns, p = i-1 and p = i-2 with i-1 in K, where
-every entry between p and i lies above images[p]; any other is refused.
+at that floor. The search also decides R_K(w), by the local rule of
+`r_references`: i outside K is in R_K(w) when images[i] < images[p],
+p = i-2 if i-1 is in K and i-1 otherwise, which holds exactly when
+digit[i] < digit[p], as every entry between p and i lies above
+images[p]. Where i-1 is outside K that comparison is a right descent of
+w, which the descent check reads.
 Each leaf places the last four values at once (all n of them when n <= 4)
 from a table per pattern (its size and comparisons) and key (the digits
 of the prefix entries it reads): each order K allows, with its digit sum
@@ -40,9 +42,8 @@ tuple or as text; it does not depend on K, so a listing shares it across
 its K and holds at most n!/(n-4)! suffixes. The images are carried as a
 tuple or, given a separator, as text joined by it after a root text, one
 concatenation per placed value: `cells` builds its listing rows from it,
-with head(K) as the root, and with the pairs (i, i-1) the hits are the
-right descents the descent check reads. It keeps at most n(n-1)/2 partial
-permutations pending.
+with head(K) as the root. It keeps at most n(n-1)/2 partial permutations
+pending.
 """
 
 from __future__ import annotations
@@ -275,53 +276,56 @@ def is_minimal_rep(k: SimpleSubset, w: Permutation) -> bool:
     return True
 
 
+def r_references(n: int, k_members: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(i, p) for each i outside K, where w(i+1) is compared with the
+    one-line entry images[p]: p = i-2 (w(i-1)) if i-1 is in K, else i-1
+    (w(i)). i is in R_K(w) when w(i+1) is the smaller.
+
+    This is the local rule for R_K(w): the pairing vector
+    alpha_i + w_{0,K}(alpha_i) is supported on positions i-1..i+2, and
+    since w has no descent inside K its leading sign after w acts is
+    negative exactly when w(i+1) < images[p].
+
+    >>> r_references(5, (1, 3))
+    ((2, 0), (4, 2))
+    """
+    in_k = set(k_members)
+    return tuple(
+        (i, i - 2 if i - 1 in in_k else i - 1) for i in range(1, n) if i not in in_k
+    )
+
+
 # One item of the W^K search: (w.images, or in a listing their text,
-# ell(w), hits).
+# ell(w), R_K(w)).
 CosetRep = tuple[tuple[int, ...] | str, int, tuple[int, ...]]
 
 
-def minimal_coset_rep_images(k: SimpleSubset, references: Iterable[tuple[int, int]] = ()) -> Iterator[CosetRep]:
-    """(w.images, ell(w), hits) for each w in W^K, in lexicographic one-line
-    order, generated one at a time. references holds (i, p) pairs, each i
-    at most once, of two forms: p = i - 1, or p = i - 2 with i - 1 in K
-    (the descent check passes the first, `kernel.r_references` both);
-    hits holds the i, ascending, with images[i] < images[p]. K and the
-    references are checked before the first item: each pair needs ints
-    with 1 <= i <= n - 1 in one of the two forms, and no i may repeat.
+def minimal_coset_rep_images(k: SimpleSubset) -> Iterator[CosetRep]:
+    """(w.images, ell(w), R_K(w)) for each w in W^K, in lexicographic
+    one-line order, generated one at a time, R_K(w) by the local rule of
+    r_references. K is checked before the first item.
 
-    >>> list(minimal_coset_rep_images(SimpleSubset(3, (1,)), [(2, 0)]))
+    >>> list(minimal_coset_rep_images(SimpleSubset(3, (1,))))
     [((1, 2, 3), 0, ()), ((1, 3, 2), 1, ()), ((2, 3, 1), 2, (2,))]
     """
     require_special(k)
-    references = tuple(references)
-    compared = set()
-    for i, p in references:
-        # type, not isinstance: a bool or a float equal to an int is refused
-        if type(i) is not int or type(p) is not int:
-            raise ValueError(f"reference ({i!r}, {p!r}) is not a pair of ints")
-        if not (0 < i < k.n and (p == i - 1 or p == i - 2 and i - 1 in k)):
-            raise ValueError(f"reference ({i}, {p}) needs 1 <= i <= {k.n - 1} and p = i - 1, or i - 2 with i - 1 in K")
-        if i in compared:
-            raise ValueError(f"index {i} has two references")
-        compared.add(i)
-    return _coset_rep_search(k.n, k.members, references, None)
+    return _coset_rep_search(k.n, k.members, None)
 
 
 def _coset_rep_search(
     n: int,
     members: tuple[int, ...],
-    references: Iterable[tuple[int, int]],
     separator: str | None,
     root: str = "",
     suffixes: dict | None = None,
 ) -> Iterator[CosetRep]:
-    """The items of minimal_coset_rep_images, the references taken as valid
-    (another form gives wrong hits). Given a separator, each item carries
-    the images joined by it after root in place of the tuple. suffixes maps
-    each set of values a leaf places to the tuples (or texts) of its
-    orders; searches with one rank and one separator may share it.
+    """The items of minimal_coset_rep_images, K taken as special. Given a
+    separator, each item carries the images joined by it after root in
+    place of the tuple. suffixes maps each set of values a leaf places to
+    the tuples (or texts) of its orders; searches with one rank and one
+    separator may share it.
 
-    >>> [text for text, _, _ in _coset_rep_search(3, (1,), (), "-", "w=")]
+    >>> [text for text, _, _ in _coset_rep_search(3, (1,), "-", "w=")]
     ['w=1-2-3', 'w=1-3-2', 'w=2-3-1']
     """
     # the earlier index each index is compared with, or None: digit[i] must
@@ -329,7 +333,7 @@ def _coset_rep_search(
     below = [None] * n
     for i in members:
         below[i] = i - 1
-    against = list(map(dict(references).get, range(n)))
+    against = list(map(dict(r_references(n, members)).get, range(n)))
     # the leaves place indices q, ..., n-1 (all n when n <= 4) and compare
     # digits, order + key: the order's for the leaf's indices, the key's for
     # the prefix entries read, j's at where[j]

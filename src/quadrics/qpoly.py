@@ -43,7 +43,7 @@ class QPolynomial:
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
         for c in cs:
-            if not isinstance(c, int):
+            if type(c) is not int:  # type, not isinstance: a bool is refused
                 raise TypeError(f"integer coefficients only, got {c!r}")
         while cs and cs[-1] == 0:
             cs.pop()

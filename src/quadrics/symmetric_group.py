@@ -138,7 +138,7 @@ class WeightVector:
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a weight vector needs rank at least 1")
-        if not all(isinstance(c, int) for c in coeffs):
+        if not all(type(c) is int for c in coeffs):  # a bool is refused
             raise TypeError("coefficients must be integers")
         self.coeffs = coeffs
 

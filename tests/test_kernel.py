@@ -247,3 +247,11 @@ def test_census_validation():
         cell_census(3, 0, 0, -1)
     with pytest.raises(ValueError):
         cell_census(3, (), (), 0)
+
+
+@pytest.mark.parametrize("args", [(True, 0, 0, 0), (2, True, 1, 0), (2, 0, True, 0), (2, 0, 0, True)])
+def test_census_refuses_bools(args):
+    # each bool was taken as the int it equals: cell_census(True, 0, 0, 0)
+    # returned {0: 1}
+    with pytest.raises(ValueError):
+        cell_census(*args)

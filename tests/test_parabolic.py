@@ -1,8 +1,6 @@
 import itertools
 import math
 import operator
-import random
-import re
 import sys
 import tracemalloc
 from collections import Counter, deque
@@ -10,7 +8,6 @@ from collections import Counter, deque
 import pytest
 
 from quadrics import parabolic
-from quadrics.kernel import r_references
 from quadrics.parabolic import (
     NotSpecialError,
     SimpleSubset,
@@ -24,6 +21,7 @@ from quadrics.parabolic import (
     minimal_coset_rep_count,
     minimal_coset_rep_images,
     minimal_coset_reps,
+    r_references,
     special_count,
 )
 from quadrics.symmetric_group import Permutation, identity
@@ -262,10 +260,7 @@ def assert_matches_filtered_oracle(k, generated):
 def test_search_matches_filtered_enumeration():
     for n in range(1, 9):
         for k in enumerate_special(n):
-            generated = list(minimal_coset_rep_images(k))
-            assert_matches_filtered_oracle(k, generated)
-            # no references, no comparisons
-            assert all(hits == () for _, _, hits in generated), k
+            assert_matches_filtered_oracle(k, list(minimal_coset_rep_images(k)))
 
 
 @pytest.mark.parametrize("members", [(), (2,), (1, 3)])
@@ -280,14 +275,11 @@ def test_oracle_comparison_catches_a_wrong_length(members):
 
 
 def test_search_hits_match_the_comparisons_of_each_row():
+    # R_K(w) is read off the finished row by the comparisons r_references lists
     for n in range(1, 9):
         for k in enumerate_special(n):
             references = r_references(n, k.members)
-            plain = [(images, length) for images, length, _ in minimal_coset_rep_images(k)]
-            rows = list(minimal_coset_rep_images(k, references))
-            # the comparisons change no row and no length
-            assert [(images, length) for images, length, _ in rows] == plain, k
-            for images, _, hits in rows:
+            for images, _, hits in minimal_coset_rep_images(k):
                 assert hits == tuple(comparison_hits(images, references)), (k, images)
 
 
@@ -297,50 +289,8 @@ def in_form(k, i, p):
     return p == i - 1 or p == i - 2 and i - 1 in k.members
 
 
-def test_search_refuses_out_of_form_references():
-    # pairs beyond the two forms, any p < i, the last three indices
-    # included, and in any order: a list holding one is refused before the
-    # first item, naming its first such pair, and a list of the two forms
-    # alone gives the comparisons of each row
-    n = 5
-    for k in enumerate_special(n):
-        for references in earlier_reference_cases(n):
-            wrong = [(i, p) for i, p in references if not in_form(k, i, p)]
-            if wrong:
-                with pytest.raises(ValueError, match=re.escape(f"reference {wrong[0]} needs")):
-                    minimal_coset_rep_images(k, references)
-                continue
-            for images, _, hits in minimal_coset_rep_images(k, references):
-                expected = sorted(comparison_hits(images, references))
-                assert list(hits) == expected, (k, references, images)
-
-
-def earlier_reference_cases(n):
-    """Reference lists of pairs (i, p) with p < i, most holding a pair of
-    neither form the search reads."""
-    cases = [[(i, 0) for i in range(1, n)], [(i, i - 1) for i in reversed(range(1, n))]]
-    return cases + [[(n - 1, p), (n - 2, p - 1)] for p in range(1, n - 1)]
-
-
-def valid_reference_cases(n, k, count=6):
-    """count reference lists of the two forms at rank n for K, drawn from a
-    generator seeded by (n, K): each i in [1, n - 1] takes no pair, (i, i - 1)
-    or, when i - 1 is in K, (i, i - 2), and the pairs are shuffled."""
-    rng = random.Random(n << 32 | k.mask)
-    cases = []
-    for _ in range(count):
-        pairs = []
-        for i in range(1, n):
-            forms = [None, (i, i - 1)] + ([(i, i - 2)] if i - 1 in k else [])
-            if (pair := rng.choice(forms)) is not None:
-                pairs.append(pair)
-        rng.shuffle(pairs)
-        cases.append(pairs)
-    return cases
-
-
 def test_r_references_take_the_two_forms():
-    # the search reads only these forms, and the listings pass r_references
+    # the search reads a hit off Lehmer digits only for these forms
     for n in range(1, 13):
         for k in enumerate_special(n):
             references = r_references(n, k.members)
@@ -354,24 +304,24 @@ def test_search_text_is_the_joined_images():
     for n in range(1, 9):
         names = list(map(str, range(n + 1)))  # str(v), looked up rather than converted
         for k in enumerate_special(n):
-            cases = [(), r_references(n, k.members)]
-            if n == 5:
-                cases += valid_reference_cases(n, k)
-            for references in cases:
-                images, *rest = zip(*minimal_coset_rep_images(k, references))
-                for separator in "", "-", ",\n        ":
-                    texts, *text_rest = zip(*_coset_rep_search(n, k.members, references, separator))
-                    assert text_rest == rest, (k, references, separator)
-                    joined = [separator.join(map(names.__getitem__, w)) for w in images]
-                    assert list(texts) == joined, (k, references)
+            images, *rest = zip(*minimal_coset_rep_images(k))
+            for separator in "", "-", ",\n        ":
+                texts, *text_rest = zip(*_coset_rep_search(n, k.members, separator))
+                assert text_rest == rest, (k, separator)
+                joined = [separator.join(map(names.__getitem__, w)) for w in images]
+                assert list(texts) == joined, k
 
 
 def test_search_hits_against_the_index_before_are_the_right_descents():
+    # at each i outside K with i - 1 outside K the search compares w(i+1)
+    # with w(i), so its hits there are the right descents: the descent
+    # check reads them on I - K, where i - 1 lies outside the special I
     for n in range(1, 9):
-        adjacent = [(i, i - 1) for i in range(1, n)]
         for k in enumerate_special(n):
-            for images, _, hits in minimal_coset_rep_images(k, adjacent):
-                assert hits == Permutation(images).right_descents, (k, images)
+            free = [i for i in range(1, n) if i not in k and i - 1 not in k]
+            for images, _, hits in minimal_coset_rep_images(k):
+                descents = Permutation(images).right_descents
+                assert [i for i in free if i in hits] == [i for i in free if i in descents], (k, images)
 
 
 # tuple mode, then the separators of the csv, the rank-10 and the JSON
@@ -380,43 +330,32 @@ SEPARATORS = (None, "", "-", ",\n        ")
 
 
 def oracle_cases(n):
-    """(K, references, separator) compared with the three-value-leaf
-    oracle at rank n: every special K up to n = 8, and K = {} and
-    {1, 3, 5, 7} at n = 9. The references are none, r_references, the
-    adjacent pairs and seeded lists of the two forms. Every reference kind
-    meets every separator up to n = 7; past it each kind meets one
-    separator in turn, and at n = 9 the kinds are the three the package
-    and its tests use most and one seeded list."""
+    """(K, separator) compared with the three-value-leaf oracle at rank n:
+    every special K up to n = 8, and K = {} and {1, 3, 5, 7} at n = 9,
+    each with every separator."""
     ks = enumerate_special(n) if n <= 8 else [SimpleSubset(n, ()), SimpleSubset(n, (1, 3, 5, 7))]
-    for k in ks:
-        kinds = [(), r_references(n, k.members), [(i, i - 1) for i in range(1, n)], *valid_reference_cases(n, k)]
-        if n == 9:
-            kinds = kinds[:4]
-        for index, references in enumerate(kinds):
-            for separator in SEPARATORS if n <= 7 else [SEPARATORS[index % len(SEPARATORS)]]:
-                yield k, references, separator
+    return itertools.product(ks, SEPARATORS)
 
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_search_equals_the_three_value_leaf_oracle(n):
     # n <= 4 is one leaf with no floor; from n = 5 on the leaves sit below
-    # a prefix. The items are compared as they come, so nothing is held
-    for k, references, separator in oracle_cases(n):
+    # a prefix. The oracle compares against r_references, as the search
+    # does. The items are compared as they come, so nothing is held
+    for k, separator in oracle_cases(n):
         root = "" if separator is None else f"K={k} w="
-        expected = three_value_leaf_search(n, k.members, references, separator)
+        expected = three_value_leaf_search(n, k.members, r_references(n, k.members), separator)
         if root:
             expected = ((root + text, length, hits) for text, length, hits in expected)
-        generated = _coset_rep_search(n, k.members, references, separator, root)
-        assert all(itertools.starmap(operator.eq, itertools.zip_longest(generated, expected))), (
-            k, references, separator,
-        )
+        generated = _coset_rep_search(n, k.members, separator, root)
+        assert all(itertools.starmap(operator.eq, itertools.zip_longest(generated, expected))), (k, separator)
 
 
-def leaf_table_builds(monkeypatch, n, ks, kinds):
-    """The arguments of each leaf table built while the search runs at rank
-    n over each K of ks with each reference list of kinds(K), read off
-    `parabolic._leaf_rows`, which builds one table per call. The memo of
-    patterns is held to its bound after every search."""
+def leaf_table_builds(monkeypatch, n, ks, take):
+    """The arguments of each leaf table built while take runs the search at
+    rank n over each K of ks, read off `parabolic._leaf_rows`, which builds
+    one table per call. The memo of patterns is held to its bound after
+    every search."""
     built = []
     build = parabolic._leaf_rows
 
@@ -426,56 +365,37 @@ def leaf_table_builds(monkeypatch, n, ks, kinds):
 
     monkeypatch.setattr(parabolic, "_leaf_rows", counted)
     for k in ks:
-        for references in kinds(k):
-            deque(_coset_rep_search(n, k.members, references, None), maxlen=0)
-            info = _leaf_tables.cache_info()
-            assert info.currsize <= info.maxsize, info
+        take(_coset_rep_search(n, k.members, None))
+        info = _leaf_tables.cache_info()
+        assert info.currsize <= info.maxsize, info
     return built
+
+
+def drain(items):
+    deque(items, maxlen=0)
 
 
 @pytest.mark.parametrize("n", [6, 8])
 def test_leaf_tables_are_built_once_per_pattern(monkeypatch, n):
-    # the references the package passes, kernel.r_references for the
-    # listings and (i, i-1) for the descent check, over every special K:
-    # tables built per K numbered 130 at n = 6 and 340 at n = 8, while the
-    # 15 leaf patterns of every rank n >= 5 hold 75 keys
-    adjacent = [(i, i - 1) for i in range(1, n)]
+    # the search over every special K: tables built per K would number 65
+    # at n = 6 and 170 at n = 8, while the 8 leaf patterns of every rank
+    # n >= 5 hold 40 keys
     _leaf_tables.cache_clear()
-    built = leaf_table_builds(monkeypatch, n, enumerate_special(n), lambda k: [r_references(n, k.members), adjacent])
-    assert len(built) == len(set(built)) == 75
-    assert len({args[:3] for args in built}) == _leaf_tables.cache_info().misses == 15
+    built = leaf_table_builds(monkeypatch, n, enumerate_special(n), drain)
+    assert len(built) == len(set(built)) == 40
+    assert len({args[:3] for args in built}) == _leaf_tables.cache_info().misses == 8
 
 
 def test_leaf_tables_stay_within_their_bound(monkeypatch):
-    # the seeded lists of the two forms over every special K at n = 5..7,
-    # the memo kept from rank to rank: 192 patterns (41, 62 and 89 of the
-    # 188 the two forms allow at each rank) pass through its 64 places, and
-    # no table is built twice
+    # the first item of the search over every special K at n = 5..16, the
+    # memo kept from rank to rank: 96 patterns, 8 per rank, pass through
+    # its 64 places, and no table is built twice. No listing is drained
     _leaf_tables.cache_clear()
-    for n in range(5, 8):
-        built = leaf_table_builds(monkeypatch, n, enumerate_special(n), lambda k: valid_reference_cases(n, k))
-        assert len(built) == len(set(built)), n
+    for n in range(5, 17):
+        built = leaf_table_builds(monkeypatch, n, enumerate_special(n), next)
+        assert len(built) == len(set(built)) == 8, n
     info = _leaf_tables.cache_info()
-    assert info.misses == 192 > info.maxsize, info
-
-
-@pytest.mark.parametrize(
-    "n, references, message",
-    [
-        (5, [(2, 3)], r"reference \(2, 3\) needs 1 <= i <= 4 and p = i - 1, or i - 2 with i - 1 in K"),
-        (5, [(2, 1), (2, 1)], "index 2 has two references"),
-        (5, [(7, 0)], r"reference \(7, 0\) needs 1 <= i <= 4"),
-        (5, [(1, -1)], r"reference \(1, -1\) needs"),
-        (5, [(3, 1)], r"reference \(3, 1\) needs"),
-        (5, [(2.0, 1.0)], r"reference \(2\.0, 1\.0\) is not a pair of ints"),
-        (5, [(True, False)], r"reference \(True, False\) is not a pair of ints"),
-    ],
-)
-def test_bad_references_are_refused_before_the_first_item(n, references, message):
-    # K = {}: (3, 1) is of neither form, as 2 is not in K; (2.0, 1.0) and
-    # (True, False) were taken as (2, 1) and (1, 0)
-    with pytest.raises(ValueError, match=message):
-        minimal_coset_rep_images(SimpleSubset(n, ()), iter(references))
+    assert info.misses == 96 > info.maxsize, info
 
 
 def test_minimal_coset_reps_are_valid_permutations():

@@ -37,6 +37,13 @@ def test_canonical_form_trims_trailing_zeros():
         QPolynomial([1.5])
 
 
+@pytest.mark.parametrize("coeffs", [[True, 2], [1, False], [2.0]])
+def test_coefficients_refuse_bools(coeffs):
+    # str(QPolynomial([True, 2])) was 'True + 2q'
+    with pytest.raises(TypeError, match="^integer coefficients only"):
+        QPolynomial(coeffs)
+
+
 def test_str_rendering():
     assert str(QPolynomial()) == "0"
     assert str(QPolynomial([1, 2, 2, 1])) == "1 + 2q + 2q^2 + q^3"

@@ -160,6 +160,13 @@ def test_sign_examples():
     assert WeightVector((-2, 1, 1)).sign() == -1
 
 
+@pytest.mark.parametrize("coeffs", [(True, -1), (1, False), (1.0, -1)])
+def test_weight_vector_refuses_bools(coeffs):
+    # WeightVector((True, -1)).coeffs was (True, -1)
+    with pytest.raises(TypeError, match="^coefficients must be integers$"):
+        WeightVector(coeffs)
+
+
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=8))
 def test_sign_is_odd(coeffs):
     v = WeightVector(coeffs)
